@@ -7,7 +7,7 @@ MICRO_BENCH := ^Benchmark(HybridFileSizeSample|NamespaceGeneration|TreePath|File
 BENCH_TIME ?= 1x
 BENCH_DATE := $(shell date +%Y%m%d)
 
-.PHONY: build test race bench bench-smoke bench-json lint fmt ci dist-check dist-fault-check mem-check serve-check fleet-fault-check image-sink-check
+.PHONY: build test race bench bench-smoke bench-json lint fmt ci dist-check dist-fault-check mem-check serve-check fleet-fault-check image-sink-check e2e-check
 
 build:
 	$(GO) build ./...
@@ -159,6 +159,13 @@ image-sink-check:
 	cmp tar.digest merged.digest; \
 	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -format squashfs -out image.squashfs; \
 	echo "image-sink-check: OK (tar digest matches VFS; 3-worker stitch byte-identical)"
+
+# The end-to-end benchmark (e2ebench/) is its own module, so the root
+# `go build ./...` never compiles it: vet and self-test it here so a change
+# to the library API it calls fails CI instead of the next benchmark run.
+e2e-check:
+	$(GO) -C e2ebench vet ./...
+	$(GO) -C e2ebench test ./...
 
 # Local mirror of the CI memory-bound job: a 1M-file streamed plan build
 # and a 10M-file partitioned (spilled) build must hold peak live heap under

@@ -292,7 +292,7 @@ func benchPlanBuild(b *testing.B, streamed bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if streamed {
-			if _, err := distribute.StreamPlan(cfg, 8, 0, io.Discard); err != nil {
+			if _, err := (distribute.PlanRequest{Config: cfg, MaxShards: 8}).Stream(context.Background(), io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		} else {

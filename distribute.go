@@ -28,8 +28,8 @@ type ShardView = distribute.ShardView
 // Manifest is a worker's sealed proof of work for one shard.
 type Manifest = distribute.Manifest
 
-// WorkerOptions controls one shard execution (permissions, parallelism,
-// metadata-only mode, cancellation).
+// WorkerOptions controls one shard execution (parallelism, metadata-only
+// mode, cancellation).
 type WorkerOptions = distribute.WorkerOptions
 
 // MergeResult is the verified outcome of stitching shard manifests back
@@ -59,28 +59,6 @@ type FragmentMergeResult = distribute.FragmentMergeResult
 // fleets that want the plan built shard by shard use PartitionPlan.
 func BuildPlan(ctx context.Context, req PlanRequest) (*Plan, error) {
 	return distribute.BuildPlan(ctx, req)
-}
-
-// BuildPlanContext builds a retained plan from positional arguments.
-//
-// Deprecated: use BuildPlan with a PlanRequest.
-func BuildPlanContext(ctx context.Context, cfg Config, maxShards, chunkSize int) (*Plan, error) {
-	return distribute.BuildPlanContext(ctx, cfg, maxShards, chunkSize)
-}
-
-// StreamPlan builds a plan and writes its complete wire document to w in
-// one streaming pass, holding O(chunk) file records.
-//
-// Deprecated: use PlanRequest.Stream.
-func StreamPlan(cfg Config, maxShards, chunkSize int, w io.Writer) (*Plan, error) {
-	return distribute.StreamPlan(cfg, maxShards, chunkSize, w)
-}
-
-// StreamPlanContext writes a plan document from positional arguments.
-//
-// Deprecated: use PlanRequest.Stream.
-func StreamPlanContext(ctx context.Context, cfg Config, maxShards, chunkSize int, w io.Writer) (*Plan, error) {
-	return distribute.StreamPlanContext(ctx, cfg, maxShards, chunkSize, w)
 }
 
 // PartitionPlan builds a partitioned plan: K self-contained fragment

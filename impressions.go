@@ -41,11 +41,12 @@
 //
 // # Distributed generation and serving
 //
-// The same pipeline scales out: BuildPlan/StreamPlan partition an image into
-// shard plans, ExecuteShardView runs one shard anywhere, and Merge verifies
-// the manifests back into a single image (see the distributed re-exports in
-// this package). cmd/impressionsd wraps it all as a long-running HTTP
-// service with a content-addressed plan cache keyed by SpecFingerprint.
+// The same pipeline scales out: BuildPlan/PlanRequest.Stream partition an
+// image into shard plans, ExecuteShardView runs one shard anywhere, and
+// Merge verifies the manifests back into a single image (see the
+// distributed re-exports in this package). cmd/impressionsd wraps it all
+// as a long-running HTTP service with a content-addressed plan cache keyed
+// by SpecFingerprint.
 //
 // # Errors
 //
@@ -102,9 +103,10 @@ type MaterializeOptions = fsimage.MaterializeOptions
 
 // RecordSink consumes an image's metadata stream (directories in ID order,
 // then files in ID order) — the out-of-core alternative to retaining an
-// Image. See fsimage for the provided sinks: ImageSink (retain),
-// ChunkEncoder (serialize), DigestBuilder (canonical digest), ImageStats
-// (histograms), MaterializeSink (write to disk).
+// Image. See fsimage for the provided sinks: ImageSink (retain, then
+// Materialize to write a directory tree), ChunkEncoder (serialize),
+// DigestBuilder (canonical digest), ImageStats (histograms); imgfmt's
+// TarSink and SquashfsSink write image files directly.
 type RecordSink = fsimage.RecordSink
 
 // RecordSource is anything that can replay an image's metadata records into

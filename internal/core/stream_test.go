@@ -10,9 +10,9 @@ import (
 
 // TestGenerateStreamMatchesRetained is the golden streaming-vs-retained
 // equivalence: for several seeds at parallelism 1, 2 and 8, one streamed
-// generation pass fanned into a retained sink, a stats accumulator, and a
-// streaming materializer must reproduce — byte for byte — the image,
-// digest, statistics, and on-disk tree of the classic Generate path.
+// generation pass fanned into a retained sink and a stats accumulator must
+// reproduce — byte for byte — the image, digest, statistics, and on-disk
+// tree of the classic Generate path.
 func TestGenerateStreamMatchesRetained(t *testing.T) {
 	for _, seed := range []int64{7, 20090225} {
 		for _, par := range []int{1, 2, 8} {
@@ -43,13 +43,7 @@ func TestGenerateStreamMatchesRetained(t *testing.T) {
 			}
 			imgSink := fsimage.NewImageSink(res.Image.Spec)
 			statsSink := fsimage.NewImageStats(fsimage.StatsConfig{SizeMaxExp: 34, DepthBins: 16, CountBins: 32})
-			streamRoot := t.TempDir()
-			matSink, err := fsimage.NewMaterializeSink(streamRoot, fsimage.MaterializeOptions{
-				Registry: content.NewRegistry(content.KindDefault), Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			report, err := gen.GenerateStream(fsimage.MultiSink(imgSink, statsSink, matSink))
+			report, err := gen.GenerateStream(fsimage.MultiSink(imgSink, statsSink))
 			if err != nil {
 				t.Fatalf("seed %d P%d: GenerateStream: %v", seed, par, err)
 			}
@@ -110,7 +104,12 @@ func TestGenerateStreamMatchesRetained(t *testing.T) {
 				}
 			}
 
-			// The streaming materializer wrote the identical tree.
+			// The streamed image materializes to the identical tree.
+			streamRoot := t.TempDir()
+			if _, err := streamed.Materialize(streamRoot, fsimage.MaterializeOptions{
+				Registry: content.NewRegistry(content.KindDefault), Seed: seed, Parallelism: 1}); err != nil {
+				t.Fatalf("seed %d P%d: materializing the streamed image: %v", seed, par, err)
+			}
 			gotTree, err := fsimage.HashTree(streamRoot)
 			if err != nil {
 				t.Fatal(err)

@@ -68,15 +68,25 @@ func planRoundTrip(t *testing.T, cfg core.Config, shards int) *OpenPlan {
 	return open
 }
 
+// executeOpenShard runs one shard of an opened plan the way a worker does:
+// OpenPlan.ShardView, then ExecuteShardView.
+func executeOpenShard(open *OpenPlan, shard int, outRoot string, opts WorkerOptions) (*Manifest, error) {
+	v, err := open.ShardView(shard)
+	if err != nil {
+		return nil, err
+	}
+	return ExecuteShardView(v, outRoot, opts)
+}
+
 // runManifests executes every shard (each into the shared outRoot) and
 // round-trips each manifest through its JSON encoding.
 func runManifests(t *testing.T, open *OpenPlan, outRoot string) []*Manifest {
 	t.Helper()
 	manifests := make([]*Manifest, len(open.Plan.Shards))
 	for s := range open.Plan.Shards {
-		m, err := ExecuteShard(open, s, outRoot, WorkerOptions{})
+		m, err := executeOpenShard(open, s, outRoot, WorkerOptions{})
 		if err != nil {
-			t.Fatalf("ExecuteShard(%d): %v", s, err)
+			t.Fatalf("ExecuteShardView(%d): %v", s, err)
 		}
 		var buf bytes.Buffer
 		if err := m.Encode(&buf); err != nil {
@@ -159,9 +169,9 @@ func TestWorkersInSeparateRoots(t *testing.T) {
 	open := planRoundTrip(t, cfg, 4)
 	manifests := make([]*Manifest, len(open.Plan.Shards))
 	for s := range open.Plan.Shards {
-		m, err := ExecuteShard(open, s, filepath.Join(t.TempDir(), "w"), WorkerOptions{})
+		m, err := executeOpenShard(open, s, filepath.Join(t.TempDir(), "w"), WorkerOptions{})
 		if err != nil {
-			t.Fatalf("ExecuteShard(%d): %v", s, err)
+			t.Fatalf("ExecuteShardView(%d): %v", s, err)
 		}
 		manifests[s] = m
 	}
@@ -291,19 +301,19 @@ func TestOpenRejectsCorruptPlan(t *testing.T) {
 // validation.
 func TestExecuteShardValidation(t *testing.T) {
 	open := planRoundTrip(t, testConfig(), 2)
-	if _, err := ExecuteShard(open, -1, t.TempDir(), WorkerOptions{}); err == nil {
+	if _, err := executeOpenShard(open, -1, t.TempDir(), WorkerOptions{}); err == nil {
 		t.Error("negative shard index should fail")
 	}
-	if _, err := ExecuteShard(open, len(open.Plan.Shards), t.TempDir(), WorkerOptions{}); err == nil {
+	if _, err := executeOpenShard(open, len(open.Plan.Shards), t.TempDir(), WorkerOptions{}); err == nil {
 		t.Error("out-of-range shard index should fail")
 	}
 	// A plan whose stream key derives a different stream must be refused.
 	open.Plan.Shards[0].StreamKey = "fork:somethingelse"
-	if _, err := ExecuteShard(open, 0, t.TempDir(), WorkerOptions{}); err == nil {
+	if _, err := executeOpenShard(open, 0, t.TempDir(), WorkerOptions{}); err == nil {
 		t.Error("incompatible stream key should fail")
 	}
 	open.Plan.Shards[0].StreamKey = "not a key"
-	if _, err := ExecuteShard(open, 0, t.TempDir(), WorkerOptions{}); err == nil {
+	if _, err := executeOpenShard(open, 0, t.TempDir(), WorkerOptions{}); err == nil {
 		t.Error("unparseable stream key should fail")
 	}
 }
@@ -316,9 +326,9 @@ func TestMetadataOnlyDistributedRun(t *testing.T) {
 	outRoot := t.TempDir()
 	manifests := make([]*Manifest, len(open.Plan.Shards))
 	for s := range open.Plan.Shards {
-		m, err := ExecuteShard(open, s, outRoot, WorkerOptions{MetadataOnly: true})
+		m, err := executeOpenShard(open, s, outRoot, WorkerOptions{MetadataOnly: true})
 		if err != nil {
-			t.Fatalf("ExecuteShard(%d): %v", s, err)
+			t.Fatalf("ExecuteShardView(%d): %v", s, err)
 		}
 		manifests[s] = m
 	}
@@ -376,9 +386,9 @@ func TestWorkerParallelismInvariance(t *testing.T) {
 	open := planRoundTrip(t, testConfig(), 2)
 	var ref *Manifest
 	for _, j := range []int{1, 4} {
-		m, err := ExecuteShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: j})
+		m, err := executeOpenShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: j})
 		if err != nil {
-			t.Fatalf("ExecuteShard(j=%d): %v", j, err)
+			t.Fatalf("ExecuteShardView(j=%d): %v", j, err)
 		}
 		if ref == nil {
 			ref = m

@@ -13,7 +13,6 @@ import (
 
 	"impressions/internal/content"
 	"impressions/internal/fsimage"
-	"impressions/internal/stats"
 )
 
 // This file implements incremental shard manifests: a worker executing a
@@ -186,11 +185,6 @@ type IncrementalOptions struct {
 	JournalPath string
 	// BatchFiles is the flush granularity (0 selects DefaultJournalBatch).
 	BatchFiles int
-	// MetadataOnly mirrors WorkerOptions.MetadataOnly.
-	MetadataOnly bool
-	// DirPerm / FilePerm mirror WorkerOptions.
-	DirPerm  os.FileMode
-	FilePerm os.FileMode
 	// Context cancels execution between files (the journal keeps everything
 	// sealed so far).
 	Context context.Context
@@ -198,9 +192,6 @@ type IncrementalOptions struct {
 	// many files have been written by THIS attempt (resumed files do not
 	// count) — the deterministic mid-shard fault the fleet drills inject.
 	FailAfterFiles int
-	// OnFile, when non-nil, observes each file written by this attempt
-	// (after its digest is computed, possibly before its batch seals).
-	OnFile func(written int)
 }
 
 // ErrSimulatedCrash reports an execution aborted by FailAfterFiles. The
@@ -234,189 +225,84 @@ func ExecuteShardIncremental(v *ShardView, outRoot string, opts IncrementalOptio
 	if opts.BatchFiles <= 0 {
 		opts.BatchFiles = DefaultJournalBatch
 	}
-	if err := validateShardStreamKey(v); err != nil {
+	res := &IncrementalResult{}
+	m, err := executeShard(v, false, nil, func(reg *content.Registry, digests []string) (int64, error) {
+		return executeJournaled(v, outRoot, opts, reg, digests, res)
+	})
+	if err != nil {
 		return nil, err
 	}
-	fingerprint := v.Plan.Fingerprint()
+	res.Manifest = m
+	return res, nil
+}
 
+// executeJournaled is ExecuteShardIncremental's shard body: it recovers
+// the journal's proven prefix, writes the remaining files batch by batch,
+// and seals each batch into the journal before starting the next.
+func executeJournaled(v *ShardView, outRoot string, opts IncrementalOptions, reg *content.Registry, digests []string, res *IncrementalResult) (int64, error) {
+	fingerprint := v.Plan.Fingerprint()
 	rec, err := loadJournal(opts.JournalPath, fingerprint, v.Shard)
 	if err != nil || len(rec.digests) > len(v.Files) {
-		if err == nil {
-			err = fmt.Errorf("distribute: shard journal covers %d files, shard has %d (%w)", len(rec.digests), len(v.Files), fsimage.ErrManifestIntegrity)
-		}
 		// A journal that cannot be trusted is deleted, not argued with: the
 		// shard restarts from scratch.
 		os.Remove(opts.JournalPath)
 		rec = &journalRecovery{lastSeal: journalChainSeed}
 	}
 
+	// One writer, in shard file order: a batch is sealed only once every
+	// file before it is on disk.
 	mopts := fsimage.MaterializeOptions{
-		Registry:     content.NewRegistry(content.Kind(v.Plan.ContentKind)),
-		Seed:         v.Plan.Seed,
-		MetadataOnly: opts.MetadataOnly,
-		DirPerm:      opts.DirPerm,
-		FilePerm:     opts.FilePerm,
-		Parallelism:  1,
-		Context:      opts.Context,
+		Registry:    reg,
+		Seed:        v.Plan.Seed,
+		Parallelism: 1,
+		Context:     opts.Context,
 	}
 
 	// The directory pass is idempotent MkdirAll; run it every attempt so a
 	// resume against a cleaned output root recreates the skeleton.
 	if _, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, v.Dirs, nil, mopts, nil); err != nil {
-		return nil, fmt.Errorf("distribute: shard %d: %w", v.Shard, err)
+		return 0, err
 	}
 
 	// Trust the journal only as far as the disk agrees with it: every
 	// resumed file must exist at its planned size. (A stat pass, not a
 	// re-hash — the seal chain plus fingerprint binding covers content.)
-	resumed := len(rec.digests)
-	for i := 0; i < resumed; i++ {
-		f := v.Files[i]
-		p := filepath.Join(outRoot, filepath.FromSlash(shardFilePath(v, f)))
+	for _, f := range v.Files[:len(rec.digests)] {
+		p := filepath.Join(outRoot, filepath.FromSlash(v.Tree.Path(f.DirID)), f.Name)
 		info, serr := os.Stat(p)
 		if serr != nil || !info.Mode().IsRegular() || info.Size() != f.Size {
 			os.Remove(opts.JournalPath)
 			rec = &journalRecovery{lastSeal: journalChainSeed}
-			resumed = 0
 			break
 		}
 	}
+	res.ResumedFiles = len(rec.digests)
 
-	j, err := openJournal(opts.JournalPath, fingerprint, v.Shard, rec.lastSeal, resumed)
+	j, err := openJournal(opts.JournalPath, fingerprint, v.Shard, rec.lastSeal, res.ResumedFiles)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer j.Close()
 
-	digests := make([]string, len(v.Files))
 	copy(digests, rec.digests)
 	written := rec.bytes
-	wroteThisAttempt := 0
-	for lo := resumed; lo < len(v.Files); lo += opts.BatchFiles {
+	for lo := res.ResumedFiles; lo < len(v.Files); lo += opts.BatchFiles {
 		hi := min(lo+opts.BatchFiles, len(v.Files))
-		if opts.FailAfterFiles > 0 && wroteThisAttempt+(hi-lo) > opts.FailAfterFiles {
-			hi = lo + (opts.FailAfterFiles - wroteThisAttempt)
+		if opts.FailAfterFiles > 0 && res.WrittenFiles+(hi-lo) > opts.FailAfterFiles {
+			hi = lo + (opts.FailAfterFiles - res.WrittenFiles)
 		}
-		var batchDigests []string
-		if !opts.MetadataOnly {
-			batchDigests = digests[lo:hi]
-		}
-		n, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, nil, v.Files[lo:hi], mopts, batchDigests)
+		n, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, nil, v.Files[lo:hi], mopts, digests[lo:hi])
 		if err != nil {
-			return nil, fmt.Errorf("distribute: shard %d: %w", v.Shard, err)
+			return 0, err
 		}
 		if err := j.Append(digests[lo:hi], n); err != nil {
-			return nil, err
+			return 0, err
 		}
 		written += n
-		wroteThisAttempt += hi - lo
-		if opts.OnFile != nil {
-			opts.OnFile(wroteThisAttempt)
-		}
-		if opts.FailAfterFiles > 0 && wroteThisAttempt >= opts.FailAfterFiles && hi < len(v.Files) {
-			return nil, ErrSimulatedCrash
+		res.WrittenFiles += hi - lo
+		if opts.FailAfterFiles > 0 && res.WrittenFiles >= opts.FailAfterFiles && hi < len(v.Files) {
+			return 0, ErrSimulatedCrash
 		}
 	}
-
-	m := &Manifest{
-		FormatVersion:   FormatVersion,
-		PlanFingerprint: fingerprint,
-		Shard:           v.Shard,
-		Dirs:            len(v.Dirs),
-		Files:           len(v.Files),
-		Bytes:           written,
-		ContentHashed:   !opts.MetadataOnly,
-		FileDigests:     make([]FileDigest, 0, len(v.Files)),
-	}
-	for i, f := range v.Files {
-		fd := FileDigest{ID: f.ID, Size: f.Size}
-		if !opts.MetadataOnly {
-			fd.SHA256 = digests[i]
-		}
-		m.FileDigests = append(m.FileDigests, fd)
-	}
-	m.Seal()
-	return &IncrementalResult{Manifest: m, ResumedFiles: resumed, WrittenFiles: wroteThisAttempt}, nil
-}
-
-// shardFilePath returns a file record's slash path relative to the shard's
-// output root.
-func shardFilePath(v *ShardView, f fsimage.File) string {
-	dir := v.Tree.Path(f.DirID)
-	if dir == "" {
-		return f.Name
-	}
-	return dir + "/" + f.Name
-}
-
-// validateShardStreamKey checks that this build derives the content stream
-// the plan's shard records — shared by every shard-execution entry point.
-func validateShardStreamKey(v *ShardView) error {
-	sp := v.Plan.Shards[v.Shard]
-	key, err := stats.ParseStreamKey(sp.StreamKey)
-	if err != nil {
-		return fmt.Errorf("distribute: shard %d stream key: %w", v.Shard, err)
-	}
-	want := stats.DeriveSeed(v.Plan.Seed, fsimage.MaterializeStreamLabel)
-	if got := key.Apply(v.Plan.Seed); got != want {
-		return fmt.Errorf("distribute: shard %d stream key %q derives seed %d; this build's content stream derives %d — plan is from an incompatible version (%w)",
-			v.Shard, sp.StreamKey, got, want, fsimage.ErrPlanVersion)
-	}
-	return nil
-}
-
-// DigestShardView computes one shard's manifest without touching disk: each
-// file's content generator writes straight into a hash, using exactly the
-// per-file RNG streams the materializing path uses, so the manifest is
-// byte-for-byte the one ExecuteShardView would produce. It is the daemon's
-// inline-fallback executor — with zero live workers a run still converges
-// on the canonical digest, it just proves content instead of writing it.
-// ctx cancels between files.
-func DigestShardView(ctx context.Context, v *ShardView, reg *content.Registry) (*Manifest, error) {
-	if err := validateShardStreamKey(v); err != nil {
-		return nil, err
-	}
-	if reg == nil {
-		reg = content.NewRegistry(content.Kind(v.Plan.ContentKind))
-	}
-	digests, written, err := hashShardFiles(ctx, v, reg)
-	if err != nil {
-		return nil, err
-	}
-	m := &Manifest{
-		FormatVersion:   FormatVersion,
-		PlanFingerprint: v.Plan.Fingerprint(),
-		Shard:           v.Shard,
-		Dirs:            len(v.Dirs),
-		Files:           len(v.Files),
-		Bytes:           written,
-		ContentHashed:   true,
-		FileDigests:     make([]FileDigest, 0, len(v.Files)),
-	}
-	for i, f := range v.Files {
-		m.FileDigests = append(m.FileDigests, FileDigest{ID: f.ID, Size: f.Size, SHA256: digests[i]})
-	}
-	m.Seal()
-	return m, nil
-}
-
-// hashShardFiles generates every shard file's content into a SHA-256.
-func hashShardFiles(ctx context.Context, v *ShardView, reg *content.Registry) ([]string, int64, error) {
-	digests := make([]string, len(v.Files))
-	var written int64
-	baseRNG := stats.NewRNG(v.Plan.Seed).Fork(fsimage.MaterializeStreamLabel)
-	h := sha256.New()
-	for i, f := range v.Files {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		h.Reset()
-		rng := baseRNG.SplitN(uint64(f.ID))
-		if err := reg.ForExtension(f.Ext).Generate(h, f.Size, rng); err != nil {
-			return nil, 0, fmt.Errorf("distribute: shard %d hashing file %d: %w", v.Shard, f.ID, err)
-		}
-		digests[i] = hex.EncodeToString(h.Sum(nil))
-		written += f.Size
-	}
-	return digests, written, nil
+	return written, nil
 }

@@ -3,6 +3,7 @@ package distribute
 import (
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,9 +43,9 @@ func TestIncrementalMatchesExecuteShardView(t *testing.T) {
 		if res.ResumedFiles != 0 {
 			t.Fatalf("shard %d: fresh run resumed %d files", s, res.ResumedFiles)
 		}
-		ref, err := ExecuteShard(open, s, t.TempDir(), WorkerOptions{Parallelism: 1})
+		ref, err := executeOpenShard(open, s, t.TempDir(), WorkerOptions{Parallelism: 1})
 		if err != nil {
-			t.Fatalf("ExecuteShard(%d): %v", s, err)
+			t.Fatalf("ExecuteShardView(%d): %v", s, err)
 		}
 		if res.Manifest.ManifestSHA256 != ref.ManifestSHA256 {
 			t.Fatalf("shard %d: incremental manifest differs from ExecuteShardView's", s)
@@ -103,9 +104,9 @@ func TestIncrementalResume(t *testing.T) {
 	if res.ResumedFiles+res.WrittenFiles != len(view.Files) {
 		t.Fatalf("resumed %d + wrote %d != shard's %d files", res.ResumedFiles, res.WrittenFiles, len(view.Files))
 	}
-	ref, err := ExecuteShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
+	ref, err := executeOpenShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
 	if err != nil {
-		t.Fatalf("ExecuteShard: %v", err)
+		t.Fatalf("ExecuteShardView: %v", err)
 	}
 	if res.Manifest.ManifestSHA256 != ref.ManifestSHA256 {
 		t.Fatal("resumed manifest differs from a clean run's")
@@ -134,9 +135,9 @@ func TestIncrementalResumeAfterRepeatedCrashes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("attempt %d: %v", attempts, err)
 		}
-		ref, err := ExecuteShard(open, 1, t.TempDir(), WorkerOptions{Parallelism: 1})
+		ref, err := executeOpenShard(open, 1, t.TempDir(), WorkerOptions{Parallelism: 1})
 		if err != nil {
-			t.Fatalf("ExecuteShard: %v", err)
+			t.Fatalf("ExecuteShardView: %v", err)
 		}
 		if res.Manifest.ManifestSHA256 != ref.ManifestSHA256 {
 			t.Fatal("manifest after repeated crashes differs from a clean run's")
@@ -176,9 +177,9 @@ func TestIncrementalJournalTampered(t *testing.T) {
 	if res.ResumedFiles != 0 {
 		t.Fatalf("tampered journal was trusted for %d files; want a full restart", res.ResumedFiles)
 	}
-	ref, err := ExecuteShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
+	ref, err := executeOpenShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
 	if err != nil {
-		t.Fatalf("ExecuteShard: %v", err)
+		t.Fatalf("ExecuteShardView: %v", err)
 	}
 	if res.Manifest.ManifestSHA256 != ref.ManifestSHA256 {
 		t.Fatal("manifest after tampered-journal restart differs from a clean run's")
@@ -209,9 +210,9 @@ func TestIncrementalTornTail(t *testing.T) {
 	if res.ResumedFiles == 0 {
 		t.Fatal("torn tail discarded the sealed prefix; want a resume")
 	}
-	ref, err := ExecuteShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
+	ref, err := executeOpenShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
 	if err != nil {
-		t.Fatalf("ExecuteShard: %v", err)
+		t.Fatalf("ExecuteShardView: %v", err)
 	}
 	if res.Manifest.ManifestSHA256 != ref.ManifestSHA256 {
 		t.Fatal("manifest after torn-tail resume differs from a clean run's")
@@ -240,35 +241,78 @@ func TestIncrementalMissingResumedFile(t *testing.T) {
 	if res.ResumedFiles != 0 {
 		t.Fatalf("journal trusted %d files despite a missing one; want a full restart", res.ResumedFiles)
 	}
-	ref, err := ExecuteShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
+	ref, err := executeOpenShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
 	if err != nil {
-		t.Fatalf("ExecuteShard: %v", err)
+		t.Fatalf("ExecuteShardView: %v", err)
 	}
 	if res.Manifest.ManifestSHA256 != ref.ManifestSHA256 {
 		t.Fatal("manifest after stale-journal restart differs from a clean run's")
 	}
 }
 
-// TestDigestShardViewMatchesExecute: the disk-free digest executor (the
-// daemon's inline fallback) seals the same manifest as a worker that
-// actually writes the shard.
+// TestDigestShardViewMatchesExecute is the executor-equivalence oracle:
+// for every shard of one plan, the VFS worker at P=1 and P=4, the tar
+// segment worker, the disk-free digest executor (the daemon's inline
+// fallback) and a fresh journaled worker all seal the identical manifest,
+// and the metadata-only dir and tar workers agree with each other.
 func TestDigestShardViewMatchesExecute(t *testing.T) {
 	open := planRoundTrip(t, testConfig(), 3)
+	executors := []struct {
+		name string
+		run  func(v *ShardView, metadataOnly bool) (*Manifest, error)
+	}{
+		{"dir P=1", func(v *ShardView, md bool) (*Manifest, error) {
+			return ExecuteShardView(v, t.TempDir(), WorkerOptions{MetadataOnly: md, Parallelism: 1})
+		}},
+		{"dir P=4", func(v *ShardView, md bool) (*Manifest, error) {
+			return ExecuteShardView(v, t.TempDir(), WorkerOptions{MetadataOnly: md, Parallelism: 4})
+		}},
+		{"tar segment", func(v *ShardView, md bool) (*Manifest, error) {
+			return ExecuteShardViewTar(v, io.Discard, WorkerOptions{MetadataOnly: md})
+		}},
+		{"digest-only", func(v *ShardView, _ bool) (*Manifest, error) {
+			return DigestShardView(context.Background(), v, nil)
+		}},
+		{"journal", func(v *ShardView, _ bool) (*Manifest, error) {
+			res, err := ExecuteShardIncremental(v, t.TempDir(), incrementalOpts(filepath.Join(t.TempDir(), "journal")))
+			if err != nil {
+				return nil, err
+			}
+			return res.Manifest, nil
+		}},
+	}
 	for s := range open.Plan.Shards {
 		view, err := open.ShardView(s)
 		if err != nil {
 			t.Fatalf("ShardView(%d): %v", s, err)
 		}
-		m, err := DigestShardView(context.Background(), view, nil)
-		if err != nil {
-			t.Fatalf("DigestShardView(%d): %v", s, err)
+		var ref *Manifest
+		for _, ex := range executors {
+			m, err := ex.run(view, false)
+			if err != nil {
+				t.Fatalf("shard %d %s: %v", s, ex.name, err)
+			}
+			if !m.ContentHashed || m.Files != len(view.Files) {
+				t.Fatalf("shard %d %s: manifest hashed=%t files=%d, want a hashed manifest of %d files", s, ex.name, m.ContentHashed, m.Files, len(view.Files))
+			}
+			if ref == nil {
+				ref = m
+			} else if m.ManifestSHA256 != ref.ManifestSHA256 {
+				t.Errorf("shard %d: %s manifest %s differs from %s's %s", s, ex.name, m.ManifestSHA256, executors[0].name, ref.ManifestSHA256)
+			}
 		}
-		ref, err := ExecuteShard(open, s, t.TempDir(), WorkerOptions{Parallelism: 1})
+		// Metadata-only: the executors that support it agree, and the
+		// manifest carries no content hashes.
+		dir, err := executors[0].run(view, true)
 		if err != nil {
-			t.Fatalf("ExecuteShard(%d): %v", s, err)
+			t.Fatalf("shard %d metadata-only dir: %v", s, err)
 		}
-		if m.ManifestSHA256 != ref.ManifestSHA256 {
-			t.Fatalf("shard %d: digest-only manifest differs from a written shard's", s)
+		tar, err := executors[2].run(view, true)
+		if err != nil {
+			t.Fatalf("shard %d metadata-only tar: %v", s, err)
+		}
+		if dir.ContentHashed || dir.ManifestSHA256 != tar.ManifestSHA256 {
+			t.Errorf("shard %d: metadata-only dir manifest (hashed=%t) %s != tar %s", s, dir.ContentHashed, dir.ManifestSHA256, tar.ManifestSHA256)
 		}
 	}
 }

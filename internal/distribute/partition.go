@@ -418,10 +418,19 @@ func MergeFragments(ctx context.Context, open func(shard int) (io.ReadCloser, er
 	case r := <-readyCh:
 		hdr, tree = r.hdr, r.tree
 	case err := <-streams[0].done:
-		if err == nil {
-			err = fmt.Errorf("distribute: fragment 0 delivered no tree (%w)", fsimage.ErrManifestIntegrity)
+		if err != nil {
+			return fail(err)
 		}
-		return fail(err)
+		// A small fragment 0 can finish decoding before this select runs;
+		// its tree is then already buffered and select may pick done first.
+		select {
+		case r := <-readyCh:
+			hdr, tree = r.hdr, r.tree
+		default:
+			return fail(fmt.Errorf("distribute: fragment 0 delivered no tree (%w)", fsimage.ErrManifestIntegrity))
+		}
+		// Later code drains done for every stream; put the result back.
+		streams[0].done <- nil
 	case <-ctx.Done():
 		return fail(ctx.Err())
 	}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
+	"sync"
 	"testing"
 
 	"impressions/internal/core"
@@ -137,6 +139,59 @@ func TestPartitionedPipelineMatchesSingleProcess(t *testing.T) {
 		if treeHash != refTreeHash {
 			t.Errorf("K=%d materialized tree hash %s != single-process %s", k, treeHash, refTreeHash)
 		}
+	}
+}
+
+// TestMergeFragmentsTinyFragmentZero: when fragment 0 holds so few files
+// that its decoder finishes (tree handed over, done reported) before the
+// merge looks, the merge must still take the delivered tree instead of
+// failing with "fragment 0 delivered no tree". The race depends on
+// scheduling, so the merge of one tiny 2-shard plan is repeated.
+func TestMergeFragmentsTinyFragmentZero(t *testing.T) {
+	cfg := core.Config{NumFiles: 40, NumDirs: 8, FSSizeBytes: 40 * 512, Seed: 7, Parallelism: 1}
+	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, Partition: 2, ChunkSize: 64})
+	manifests := make([]*Manifest, len(frags))
+	for s, doc := range frags {
+		view, err := DecodeShardView(bytes.NewReader(doc))
+		if err != nil {
+			t.Fatalf("DecodeShardView(%d): %v", s, err)
+		}
+		if manifests[s], err = DigestShardView(context.Background(), view, nil); err != nil {
+			t.Fatalf("DigestShardView(%d): %v", s, err)
+		}
+	}
+	open := func(shard int) (io.ReadCloser, error) {
+		return io.NopCloser(bytes.NewReader(frags[shard])), nil
+	}
+	// Concurrent merges on more Ps than CPUs make the decoder of fragment 0
+	// regularly finish before its merge reaches the select.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
+	const mergers, runs = 16, 4000
+	var (
+		mu       sync.Mutex
+		failures int
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for g := 0; g < mergers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < runs/mergers; i++ {
+				if _, err := MergeFragments(context.Background(), open, manifests); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					failures++
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if failures > 0 {
+		t.Fatalf("%d of %d merges of a tiny 2-shard plan failed; first: %v", failures, runs, firstErr)
 	}
 }
 

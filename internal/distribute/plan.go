@@ -1,20 +1,23 @@
 // Package distribute implements multi-node generation of file-system
 // images as a shard-plan / worker / merge pipeline:
 //
-//   - BuildPlan / StreamPlan run the (cheap) metadata pass once — directory
+//   - BuildPlan / PlanRequest.Stream run the (cheap) metadata pass once — directory
 //     skeleton, constrained file sizes, extensions, placement — and
 //     partition the namespace into balanced subtree shards, each carrying
 //     its stable RNG stream key. The partition and per-shard expectations
 //     are computed from the compact namespace tree and streaming per-shard
 //     accumulators, never from a retained file slice. A plan serializes as
 //     one JSON document whose image metadata streams through hash-guarded
-//     chunks, so encoding and decoding buffer O(chunk) bytes; StreamPlan
+//     chunks, so encoding and decoding buffer O(chunk) bytes; Stream
 //     fuses generation and encoding so the producer side too holds O(chunk)
 //     file records (BuildPlan additionally retains the image for in-process
 //     pipelines).
-//   - ExecuteShard runs one shard in total isolation: it needs only the plan
-//     file, materializes the shard's directories and files (the expensive
-//     content pass), and emits a Manifest recording per-file content hashes.
+//   - A shard executor runs one shard in total isolation: it needs only the
+//     plan file, produces the shard's directories and files (the expensive
+//     content pass) as a directory tree (ExecuteShardView, or
+//     ExecuteShardIncremental with a resumable journal), a tar segment
+//     (ExecuteShardViewTar) or only hashes (DigestShardView), and emits a
+//     Manifest recording per-file content hashes.
 //     Workers share nothing, so "multi-node" is any shared-nothing fleet:
 //     processes, containers, CI jobs, or machines. A worker decodes the plan
 //     through the shard-pruning path (LoadPlanShard), retaining only its own
@@ -92,7 +95,7 @@ type ShardPlan struct {
 // where the chunks stream the image metadata (fsimage.Chunk) in fixed
 // order and the trailer seals the stream (chunk count + chain hash — known
 // only after the last chunk, which is what lets a fused generation pass
-// write the header first and stream the rest). Encode, StreamPlan, and
+// write the header first and stream the rest). Encode, Stream, and
 // DecodePlan all process the chunks one at a time, so peak memory for the
 // serialized metadata is O(chunk) regardless of image size.
 type Plan struct {
@@ -120,7 +123,7 @@ type Plan struct {
 
 	// img is the retained image metadata: populated by BuildPlan on the
 	// producing side and rebuilt chunk by chunk by DecodePlan on the
-	// consuming side. StreamPlan leaves it nil — the streamed producer never
+	// consuming side. Stream leaves it nil — the streamed producer never
 	// holds the image. It never appears in the wire JSON.
 	img *fsimage.Image
 }
@@ -158,6 +161,13 @@ func resolvePlanMetadata(ctx context.Context, cfg core.Config, maxShards int) (*
 	return m, nil
 }
 
+// shardWeight estimates the materialization cost of one directory (its
+// bytes, a per-file creation overhead, and a per-directory floor); the
+// planner balances shards by it.
+func shardWeight(d *namespace.Dir) float64 {
+	return float64(d.Bytes) + 16*1024*float64(d.FileCount) + 4096
+}
+
 // planScaffold partitions the resolved metadata and assembles the plan
 // header: every field except the trailer-sealed chunk count and chain hash.
 // The partition is computed from the compact tree, and the per-shard
@@ -167,7 +177,7 @@ func planScaffold(m *core.Metadata, maxShards, chunkSize int) (*Plan, *namespace
 	if chunkSize <= 0 {
 		chunkSize = fsimage.DefaultChunkSize
 	}
-	part := namespace.PartitionBalanced(m.Tree(), maxShards, fsimage.ShardWeight)
+	part := namespace.PartitionBalanced(m.Tree(), maxShards, shardWeight)
 	acc := namespace.NewShardAccumulator(part)
 	if err := m.EachPlacement(func(_, dirID int, size int64) { acc.Add(dirID, size) }); err != nil {
 		return nil, nil, fmt.Errorf("distribute: accumulating shard expectations: %w", err)
@@ -197,27 +207,6 @@ func planScaffold(m *core.Metadata, maxShards, chunkSize int) (*Plan, *namespace
 		ChunkSize:     chunkSize,
 		Shards:        shards,
 	}, part, nil
-}
-
-// BuildPlanContext builds a retained plan from positional arguments.
-//
-// Deprecated: use BuildPlan with a PlanRequest.
-func BuildPlanContext(ctx context.Context, cfg core.Config, maxShards, chunkSize int) (*Plan, error) {
-	return BuildPlan(ctx, PlanRequest{Config: cfg, MaxShards: maxShards, ChunkSize: chunkSize})
-}
-
-// StreamPlan writes a plan document from positional arguments.
-//
-// Deprecated: use PlanRequest.Stream.
-func StreamPlan(cfg core.Config, maxShards, chunkSize int, w io.Writer) (*Plan, error) {
-	return PlanRequest{Config: cfg, MaxShards: maxShards, ChunkSize: chunkSize}.Stream(context.Background(), w)
-}
-
-// StreamPlanContext writes a plan document from positional arguments.
-//
-// Deprecated: use PlanRequest.Stream.
-func StreamPlanContext(ctx context.Context, cfg core.Config, maxShards, chunkSize int, w io.Writer) (*Plan, error) {
-	return PlanRequest{Config: cfg, MaxShards: maxShards, ChunkSize: chunkSize}.Stream(ctx, w)
 }
 
 // Encode writes the retained plan as its JSON document: header, metadata
@@ -378,7 +367,7 @@ func decodePlanStream(r io.Reader, open func(*Plan) (fsimage.RecordSink, error))
 	return &p, nil
 }
 
-// DecodePlan reads a plan previously written by Encode or StreamPlan,
+// DecodePlan reads a plan previously written by Encode or Stream,
 // verifying each metadata chunk's integrity hash and rebuilding the image
 // incrementally — the serialized metadata is never held in memory whole.
 // Open validates the decoded plan's shard expectations and unpacks the

@@ -2,6 +2,7 @@ package distribute
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -161,11 +162,11 @@ func TestSpecFingerprintMatchesPlan(t *testing.T) {
 		t.Fatalf("ConfigFromSpec: %v", err)
 	}
 	var a, b bytes.Buffer
-	if _, err := StreamPlan(cfgBack, 2, 64, &a); err != nil {
-		t.Fatalf("StreamPlan(a): %v", err)
+	if _, err := (PlanRequest{Config: cfgBack, MaxShards: 2, ChunkSize: 64}).Stream(context.Background(), &a); err != nil {
+		t.Fatalf("Stream(a): %v", err)
 	}
-	if _, err := StreamPlan(cfgBack, 2, 64, &b); err != nil {
-		t.Fatalf("StreamPlan(b): %v", err)
+	if _, err := (PlanRequest{Config: cfgBack, MaxShards: 2, ChunkSize: 64}).Stream(context.Background(), &b); err != nil {
+		t.Fatalf("Stream(b): %v", err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("plan build is not deterministic for a normalized spec")

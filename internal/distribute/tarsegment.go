@@ -22,51 +22,24 @@ import (
 // Parallelism is ignored; determinism makes the bytes identical either
 // way.
 func ExecuteShardViewTar(v *ShardView, w io.Writer, opts WorkerOptions) (*Manifest, error) {
-	if err := validateShardStreamKey(v); err != nil {
-		return nil, err
-	}
-	var digests []string
-	iopts := imgfmt.Options{
-		Registry:     content.NewRegistry(content.Kind(v.Plan.ContentKind)),
-		Seed:         v.Plan.Seed,
-		MetadataOnly: opts.MetadataOnly,
-		DirPerm:      opts.DirPerm,
-		FilePerm:     opts.FilePerm,
-		Context:      opts.Context,
-	}
-	if !opts.MetadataOnly {
-		digests = make([]string, len(v.Files))
-		// WriteSegment emits v.Files in order, so a cursor indexes the
-		// shard-local digest slot.
-		pos := 0
-		iopts.OnDigest = func(f fsimage.File, sum string) {
-			digests[pos] = sum
-			pos++
+	return executeShard(v, opts.MetadataOnly, nil, func(reg *content.Registry, digests []string) (int64, error) {
+		iopts := imgfmt.Options{
+			Registry:     reg,
+			Seed:         v.Plan.Seed,
+			MetadataOnly: opts.MetadataOnly,
+			Context:      opts.Context,
 		}
-	}
-	written, err := imgfmt.WriteSegment(w, v.Tree, v.Dirs, v.Files, iopts)
-	if err != nil {
-		return nil, fmt.Errorf("distribute: shard %d tar segment: %w", v.Shard, err)
-	}
-	m := &Manifest{
-		FormatVersion:   FormatVersion,
-		PlanFingerprint: v.Plan.Fingerprint(),
-		Shard:           v.Shard,
-		Dirs:            len(v.Dirs),
-		Files:           len(v.Files),
-		Bytes:           written,
-		ContentHashed:   !opts.MetadataOnly,
-		FileDigests:     make([]FileDigest, 0, len(v.Files)),
-	}
-	for i, f := range v.Files {
-		fd := FileDigest{ID: f.ID, Size: f.Size}
 		if digests != nil {
-			fd.SHA256 = digests[i]
+			// WriteSegment emits v.Files in order, so a cursor indexes the
+			// shard-local digest slot.
+			pos := 0
+			iopts.OnDigest = func(_ fsimage.File, sum string) {
+				digests[pos] = sum
+				pos++
+			}
 		}
-		m.FileDigests = append(m.FileDigests, fd)
-	}
-	m.Seal()
-	return m, nil
+		return imgfmt.WriteSegment(w, v.Tree, v.Dirs, v.Files, iopts)
+	})
 }
 
 // StitchPlanTar replays a plan document and merges per-shard tar segments

@@ -8,13 +8,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"impressions/internal/content"
 	"impressions/internal/fsimage"
-	"impressions/internal/parallel"
+	"impressions/internal/stats"
 )
 
 // FileDigest records one written file in a shard manifest.
@@ -80,11 +77,13 @@ func (m *Manifest) Encode(w io.Writer) error {
 	return nil
 }
 
-// DecodeManifest reads a manifest previously written by Encode.
+// DecodeManifest reads a manifest previously written by Encode. Bytes that
+// are not a manifest fail with fsimage.ErrManifestIntegrity; the seal is
+// checked separately (VerifySelf, Merge).
 func DecodeManifest(r io.Reader) (*Manifest, error) {
 	var m Manifest
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("distribute: decoding manifest: %w", err)
+		return nil, fmt.Errorf("distribute: decoding manifest: %w (%w)", err, fsimage.ErrManifestIntegrity)
 	}
 	return &m, nil
 }
@@ -104,9 +103,6 @@ type WorkerOptions struct {
 	// MetadataOnly creates correctly sized but empty files (no content, no
 	// content hashes).
 	MetadataOnly bool
-	// DirPerm / FilePerm override the created entries' permissions.
-	DirPerm  os.FileMode
-	FilePerm os.FileMode
 	// Parallelism is the number of concurrent file writers within this
 	// worker; 0 selects runtime.NumCPU(), 1 forces the serial path. As
 	// everywhere else, the written bytes are identical at every level.
@@ -117,17 +113,68 @@ type WorkerOptions struct {
 	Context context.Context
 }
 
-// ExecuteShard runs one shard of the plan in isolation: it materializes the
-// shard's directories and files under outRoot and returns the sealed
-// manifest. It is the retained-plan wrapper over ExecuteShardView — worker
-// processes decode only their shard (LoadPlanShard) and execute the view
-// directly.
-func ExecuteShard(p *OpenPlan, shard int, outRoot string, opts WorkerOptions) (*Manifest, error) {
-	v, err := p.ShardView(shard)
-	if err != nil {
+// shardBody produces one shard's content — as files, as a tar segment, or
+// only as hashes — from the given content registry. It stores the SHA-256
+// (hex) of v.Files[i] in digests[i] (digests is nil for metadata-only
+// runs) and returns the content bytes it wrote.
+type shardBody func(reg *content.Registry, digests []string) (int64, error)
+
+// executeShard is the one shard executor behind every entry point. It
+// validates that this build derives the content stream the plan was built
+// for, builds the content registry (unless reg is given), allocates the
+// shard-local digest slots, runs body, and assembles and seals the
+// manifest. Digest slots are per shard record, so a pruned worker's buffers
+// scale with its shard, never the image.
+func executeShard(v *ShardView, metadataOnly bool, reg *content.Registry, body shardBody) (*Manifest, error) {
+	if err := validateShardStreamKey(v); err != nil {
 		return nil, err
 	}
-	return ExecuteShardView(v, outRoot, opts)
+	if reg == nil {
+		reg = content.NewRegistry(content.Kind(v.Plan.ContentKind))
+	}
+	var digests []string
+	if !metadataOnly {
+		digests = make([]string, len(v.Files))
+	}
+	written, err := body(reg, digests)
+	if err != nil {
+		return nil, fmt.Errorf("distribute: shard %d: %w", v.Shard, err)
+	}
+	m := &Manifest{
+		FormatVersion:   FormatVersion,
+		PlanFingerprint: v.Plan.Fingerprint(),
+		Shard:           v.Shard,
+		Dirs:            len(v.Dirs),
+		Files:           len(v.Files),
+		Bytes:           written,
+		ContentHashed:   !metadataOnly,
+		FileDigests:     make([]FileDigest, len(v.Files)),
+	}
+	for i, f := range v.Files {
+		m.FileDigests[i] = FileDigest{ID: f.ID, Size: f.Size}
+		if digests != nil {
+			m.FileDigests[i].SHA256 = digests[i]
+		}
+	}
+	m.Seal()
+	return m, nil
+}
+
+// validateShardStreamKey checks that this build derives the content stream
+// the plan's shard records. The plan's stream key is authoritative: a
+// mismatch fails instead of silently writing bytes from a different stream.
+func validateShardStreamKey(v *ShardView) error {
+	sp := v.Plan.Shards[v.Shard]
+	key, err := stats.ParseStreamKey(sp.StreamKey)
+	if err != nil {
+		return fmt.Errorf("distribute: shard %d stream key: %w", v.Shard, err)
+	}
+	want := stats.DeriveSeed(v.Plan.Seed, fsimage.MaterializeStreamLabel)
+	if got := key.Apply(v.Plan.Seed); got != want {
+		return fmt.Errorf("distribute: shard %d stream key %q derives seed %d; this build's content stream derives %d — plan is from an incompatible version (%w)",
+			v.Shard, sp.StreamKey, got, want, fsimage.ErrPlanVersion)
+	}
+	return nil
 }
 
 // ExecuteShardView materializes one shard's view under outRoot and returns
@@ -137,96 +184,39 @@ func ExecuteShard(p *OpenPlan, shard int, outRoot string, opts WorkerOptions) (*
 // workers may share outRoot (subtrees are disjoint) or use separate roots
 // that are later combined; the bytes written are identical either way.
 func ExecuteShardView(v *ShardView, outRoot string, opts WorkerOptions) (*Manifest, error) {
-	// The plan's stream key is authoritative: validate that this build
-	// derives the content stream the plan was built for, instead of silently
-	// writing bytes from a different stream.
-	if err := validateShardStreamKey(v); err != nil {
-		return nil, err
-	}
-
-	// Digest slots are per shard record, so a pruned worker's buffers scale
-	// with its shard, never the image.
-	var digests []string
-	if !opts.MetadataOnly {
-		digests = make([]string, len(v.Files))
-	}
-	mopts := fsimage.MaterializeOptions{
-		Registry:     content.NewRegistry(content.Kind(v.Plan.ContentKind)),
-		Seed:         v.Plan.Seed,
-		MetadataOnly: opts.MetadataOnly,
-		DirPerm:      opts.DirPerm,
-		FilePerm:     opts.FilePerm,
-		Context:      opts.Context,
-	}
-	written, err := materializeShardParallel(v, outRoot, mopts, opts.Parallelism, digests)
-	if err != nil {
-		return nil, fmt.Errorf("distribute: shard %d: %w", v.Shard, err)
-	}
-
-	m := &Manifest{
-		FormatVersion:   FormatVersion,
-		PlanFingerprint: v.Plan.Fingerprint(),
-		Shard:           v.Shard,
-		Dirs:            len(v.Dirs),
-		Files:           len(v.Files),
-		Bytes:           written,
-		ContentHashed:   !opts.MetadataOnly,
-		FileDigests:     make([]FileDigest, 0, len(v.Files)),
-	}
-	for i, f := range v.Files {
-		fd := FileDigest{ID: f.ID, Size: f.Size}
-		if digests != nil {
-			fd.SHA256 = digests[i]
-		}
-		m.FileDigests = append(m.FileDigests, fd)
-	}
-	m.Seal()
-	return m, nil
+	return executeShard(v, opts.MetadataOnly, nil, func(reg *content.Registry, digests []string) (int64, error) {
+		return fsimage.MaterializeShardRecords(outRoot, v.Tree, v.Dirs, v.Files, fsimage.MaterializeOptions{
+			Registry:     reg,
+			Seed:         v.Plan.Seed,
+			MetadataOnly: opts.MetadataOnly,
+			Parallelism:  opts.Parallelism,
+			Context:      opts.Context,
+		}, digests)
+	})
 }
 
-// materializeShardParallel writes one shard with up to `parallelism`
-// concurrent file writers: directories first (one serial pass, ascending ID
-// order), then the shard's files in fixed-size chunks. Chunk boundaries and
-// per-file RNG streams depend only on file IDs, and digest slots are
-// disjoint, so the output and manifest are identical at every level.
-func materializeShardParallel(v *ShardView, outRoot string, mopts fsimage.MaterializeOptions, parallelism int, digests []string) (int64, error) {
-	if parallelism <= 0 {
-		parallelism = runtime.NumCPU()
-	}
-	if _, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, v.Dirs, nil, mopts, nil); err != nil {
-		return 0, err
-	}
-	files := v.Files
-	sub := func(lo, hi int) []string {
-		if digests == nil {
-			return nil
-		}
-		return digests[lo:hi]
-	}
-	var (
-		written atomic.Int64
-		mu      sync.Mutex
-		firstEr error
-	)
-	// RunChunks sizes chunks to the worker count (a fixed 4096-item chunk
-	// would leave any shard under 4096 files on one goroutine). Safe here
-	// because all randomness is per-file, keyed by file ID.
-	parallel.RunChunks(parallelism, len(files), func(lo, hi int) {
-		mu.Lock()
-		failed := firstEr != nil
-		mu.Unlock()
-		if failed {
-			return
-		}
-		n, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, nil, files[lo:hi], mopts, sub(lo, hi))
-		written.Add(n)
-		if err != nil {
-			mu.Lock()
-			if firstEr == nil {
-				firstEr = err
+// DigestShardView computes one shard's manifest without touching disk: each
+// file's content is generated straight into a hash, so the manifest is
+// byte-for-byte the one ExecuteShardView would produce. It is the daemon's
+// inline-fallback executor — with zero live workers a run still converges
+// on the canonical digest, it just proves content instead of writing it.
+// reg, when non-nil, is the content registry for the plan's kind (the
+// daemon passes its warm cache). Files are hashed serially; ctx cancels
+// between files.
+func DigestShardView(ctx context.Context, v *ShardView, reg *content.Registry) (*Manifest, error) {
+	return executeShard(v, false, reg, func(reg *content.Registry, digests []string) (int64, error) {
+		cw := fsimage.NewContentWriter(reg, v.Plan.Seed)
+		var written int64
+		for i, f := range v.Files {
+			err := ctx.Err()
+			if err == nil {
+				digests[i], err = cw.GenerateSum(nil, f)
 			}
-			mu.Unlock()
+			if err != nil {
+				return 0, err
+			}
+			written += f.Size
 		}
+		return written, nil
 	})
-	return written.Load(), firstEr
 }

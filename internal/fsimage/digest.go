@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"impressions/internal/parallel"
-	"impressions/internal/stats"
 )
 
 // DigestVersion names the canonical image-digest formula. It is part of the
@@ -23,11 +22,6 @@ import (
 // the formula ever changes.
 const DigestVersion = "impressions-image-digest-v1"
 
-// MaterializeStreamLabel is the fork label of the RNG stream that drives
-// content generation; per-file streams are SplitN(fileID) children of it.
-// Exported so the distributed plan can record the stream key explicitly.
-const MaterializeStreamLabel = "materialize"
-
 // ContentDigests returns the SHA-256 (hex) of every file's generated
 // content, indexed by file ID, without touching disk: each file's generator
 // writes straight into a hash. The per-file RNG streams are exactly the ones
@@ -36,7 +30,6 @@ const MaterializeStreamLabel = "materialize"
 func (img *Image) ContentDigests(opts MaterializeOptions) ([]string, error) {
 	opts = opts.normalized(img)
 	digests := make([]string, len(img.Files))
-	baseRNG := stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel)
 	var (
 		mu      sync.Mutex
 		firstEr error
@@ -52,9 +45,13 @@ func (img *Image) ContentDigests(opts MaterializeOptions) ([]string, error) {
 		if failed {
 			return
 		}
-		h := sha256.New()
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
+		cw := NewContentWriter(opts.Registry, opts.Seed)
+		for _, f := range img.Files[lo:hi] {
+			err := ctx.Err()
+			if err == nil {
+				digests[f.ID], err = cw.GenerateSum(nil, f)
+			}
+			if err != nil {
 				mu.Lock()
 				if firstEr == nil {
 					firstEr = err
@@ -62,18 +59,6 @@ func (img *Image) ContentDigests(opts MaterializeOptions) ([]string, error) {
 				mu.Unlock()
 				return
 			}
-			f := img.Files[i]
-			h.Reset()
-			rng := baseRNG.SplitN(uint64(f.ID))
-			if err := opts.Registry.ForExtension(f.Ext).Generate(h, f.Size, rng); err != nil {
-				mu.Lock()
-				if firstEr == nil {
-					firstEr = fmt.Errorf("fsimage: hashing content of file %d: %w", f.ID, err)
-				}
-				mu.Unlock()
-				return
-			}
-			digests[f.ID] = hex.EncodeToString(h.Sum(nil))
 		}
 	})
 	if firstEr != nil {

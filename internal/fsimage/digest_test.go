@@ -59,8 +59,8 @@ func TestContentDigestsMatchMaterializedBytes(t *testing.T) {
 }
 
 // TestMaterializeShardCollectsDigests asserts the digests collected while
-// writing equal the ones computed independently, and that the written bytes
-// count matches.
+// writing shard records equal the ones computed independently, and that
+// the written bytes count matches.
 func TestMaterializeShardCollectsDigests(t *testing.T) {
 	img := digestTestImage(t)
 	opts := MaterializeOptions{Registry: content.NewRegistry(content.KindDefault), Seed: 11}
@@ -69,17 +69,13 @@ func TestMaterializeShardCollectsDigests(t *testing.T) {
 		t.Fatalf("ContentDigests: %v", err)
 	}
 	dirs := make([]int, img.Tree.Len())
-	files := make([]int, len(img.Files))
 	for i := range dirs {
 		dirs[i] = i
 	}
-	for i := range files {
-		files[i] = i
-	}
 	got := make([]string, len(img.Files))
-	n, err := img.MaterializeShard(t.TempDir(), dirs, files, opts, got)
+	n, err := MaterializeShardRecords(t.TempDir(), img.Tree, dirs, img.Files, opts, got)
 	if err != nil {
-		t.Fatalf("MaterializeShard: %v", err)
+		t.Fatalf("MaterializeShardRecords: %v", err)
 	}
 	if n != img.TotalBytes() {
 		t.Fatalf("wrote %d bytes, want %d", n, img.TotalBytes())

@@ -14,9 +14,9 @@ import (
 // (DirRecord) in ID order, then every file (File) in ID order. Producers
 // push that stream into a RecordSink; what the sink does with it — buffer it
 // into chunks (ChunkEncoder), fold it into the canonical digest
-// (DigestBuilder), accumulate histograms (ImageStats), write it to disk
-// (MaterializeSink), or retain it whole (ImageSink) — is the consumer's
-// choice. The in-memory Image is one retained-sink implementation, kept for
+// (DigestBuilder), accumulate histograms (ImageStats), serialize it as an
+// image file (imgfmt's TarSink, SquashfsSink), or retain it whole
+// (ImageSink, then Materialize to disk) — is the consumer's choice. The in-memory Image is one retained-sink implementation, kept for
 // small images, random access, and the library API; it is no longer the
 // mandatory interchange format, so pipelines that only stream hold O(chunk)
 // file records regardless of image size.

@@ -7,6 +7,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
+	"path/filepath"
 	"testing"
 
 	"impressions/internal/content"
@@ -247,9 +249,11 @@ func TestImageStatsMatchesRetainedHistograms(t *testing.T) {
 		img.ExtensionFractions([]string{"txt", "null", "jpg"}))
 }
 
-// TestMaterializeSinkMatchesMaterialize: streaming records to disk must
-// produce the byte-identical tree the retained Materialize writes.
-func TestMaterializeSinkMatchesMaterialize(t *testing.T) {
+// TestImageSinkMaterializeMatchesMaterialize: records streamed into an
+// ImageSink and materialized from there produce the byte-identical tree
+// the retained Materialize writes, and the digests collected during the
+// write are the canonical per-file content digests.
+func TestImageSinkMaterializeMatchesMaterialize(t *testing.T) {
 	img := buildTestImage(t)
 	opts := MaterializeOptions{Registry: content.NewRegistry(content.KindDefault), Seed: img.Spec.Seed}
 
@@ -263,18 +267,24 @@ func TestMaterializeSinkMatchesMaterialize(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	streamRoot := t.TempDir()
-	sink, err := NewMaterializeSink(streamRoot, opts)
-	if err != nil {
-		t.Fatalf("NewMaterializeSink: %v", err)
-	}
-	digests := map[int]string{}
-	sink.OnDigest = func(f File, sum string) { digests[f.ID] = sum }
+	sink := NewImageSink(img.Spec)
 	if err := img.StreamRecords(sink); err != nil {
-		t.Fatalf("stream materialize: %v", err)
+		t.Fatalf("streaming into ImageSink: %v", err)
 	}
-	if sink.Written() != wantWritten {
-		t.Errorf("streamed %d bytes, retained wrote %d", sink.Written(), wantWritten)
+	streamed, err := sink.Image()
+	if err != nil {
+		t.Fatalf("ImageSink: %v", err)
+	}
+	streamRoot := t.TempDir()
+	sopts := opts
+	sopts.Parallelism = 1
+	sopts.Digests = make([]string, len(streamed.Files))
+	written, err := streamed.Materialize(streamRoot, sopts)
+	if err != nil {
+		t.Fatalf("materializing the streamed image: %v", err)
+	}
+	if written != wantWritten {
+		t.Errorf("streamed image wrote %d bytes, retained wrote %d", written, wantWritten)
 	}
 	gotHash, err := HashTree(streamRoot)
 	if err != nil {
@@ -284,15 +294,13 @@ func TestMaterializeSinkMatchesMaterialize(t *testing.T) {
 		t.Errorf("streamed tree hash %s != retained %s", gotHash, wantHash)
 	}
 
-	// The digests observed during the streamed write must match the
-	// canonical per-file content digests.
 	want, err := img.ContentDigests(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id, sum := range want {
-		if digests[id] != sum {
-			t.Errorf("file %d digest %s != %s", id, digests[id], sum)
+		if sopts.Digests[id] != sum {
+			t.Errorf("file %d digest %s != %s", id, sopts.Digests[id], sum)
 		}
 	}
 }
@@ -320,31 +328,41 @@ func TestMultiSinkFansOut(t *testing.T) {
 	}
 }
 
-// TestMaterializeSinkCancellation: a cancelled context must stop the
-// streaming per-file path too, not only the shard worker loops — AddFile
-// polls the context before every file.
-func TestMaterializeSinkCancellation(t *testing.T) {
+// cancelAfter is a context whose Err reports cancellation once it has been
+// polled n times without it: a deterministic mid-run cancellation.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestMaterializeCancellation: a cancelled context stops the per-file write
+// loop at the next file instead of writing the whole image.
+func TestMaterializeCancellation(t *testing.T) {
 	img := buildTestImage(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	sink, err := NewMaterializeSink(t.TempDir(), MaterializeOptions{
-		Registry: content.NewRegistry(content.KindDefault),
-		Seed:     img.Spec.Seed,
-		Context:  ctx,
+	root := t.TempDir()
+	_, err := img.Materialize(root, MaterializeOptions{
+		Registry:    content.NewRegistry(content.KindDefault),
+		Parallelism: 1,
+		Context:     &cancelAfter{Context: context.Background(), n: 3},
 	})
-	if err != nil {
-		t.Fatalf("NewMaterializeSink: %v", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled materialize: got %v, want context.Canceled", err)
 	}
 	written := 0
-	sink.OnDigest = func(File, string) {
-		written++
-		if written == 3 {
-			cancel()
+	filepath.WalkDir(root, func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && d.Type().IsRegular() {
+			written++
 		}
-	}
-	err = img.StreamRecords(sink)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled stream: got %v, want context.Canceled", err)
-	}
+		return nil
+	})
 	if written != 3 || written >= len(img.Files) {
 		t.Fatalf("wrote %d of %d files after cancellation at 3", written, len(img.Files))
 	}

@@ -2,10 +2,10 @@
 // into image files — archive and filesystem formats — with purely
 // sequential writes: no kernel VFS round-trips, no mkfs, no root.
 //
-// Where fsimage.MaterializeSink pays one open/write/close per file (so a
-// 100k-small-file image is syscall-bound), these sinks run at content-
-// engine speed: the zero-alloc generators write file bodies directly into
-// the image stream. Two backends ship:
+// Where the VFS materializer (fsimage.Image.Materialize) pays one
+// open/write/close per file (so a 100k-small-file image is syscall-bound),
+// these sinks run at content-engine speed: the zero-alloc generators write
+// file bodies directly into the image stream. Two backends ship:
 //
 //   - TarSink streams a POSIX tar (archive/tar, USTAR with PAX fallback for
 //     long names) whose bytes are a pure function of (spec, seed, Options):
@@ -25,14 +25,15 @@
 //     matching in-repo reader used by tests (and anyone without mount
 //     privileges) to walk the produced image.
 //
-// Determinism: per-file content streams are the frozen materialize
-// contract — stats.NewRNG(seed).Fork(fsimage.MaterializeStreamLabel).
-// SplitN(fileID) — so a tar body, a squashfs data block, a VFS file, and a
-// digest pass all see the same bytes for the same file.
+// Determinism: every file body comes from fsimage.ContentWriter, the one
+// owner of the frozen per-file content stream contract, so a tar body, a
+// squashfs data block, a VFS file, and a digest pass all see the same
+// bytes for the same file.
 package imgfmt
 
 import (
 	"context"
+	"io"
 	"os"
 	"time"
 
@@ -75,8 +76,8 @@ type Options struct {
 	// loops poll it and abort with its error, leaving a truncated image.
 	Context context.Context
 	// OnDigest, when non-nil, observes each file's content SHA-256 (hex) as
-	// it is written — the same tap the VFS materializer offers, so archive
-	// workers seal ordinary manifests. Not called with MetadataOnly.
+	// it is written (the ContentWriter's tap), so archive workers seal
+	// ordinary manifests. Not called with MetadataOnly.
 	OnDigest func(f fsimage.File, sha256 string)
 }
 
@@ -103,4 +104,32 @@ func (o Options) withDefaults() Options {
 		o.ModTime = DefaultModTime
 	}
 	return o
+}
+
+// zeroBlock feeds MetadataOnly entry bodies and padding.
+var zeroBlock [32 * 1024]byte
+
+// writeBody writes f's body onto dst: f.Size zero bytes with MetadataOnly,
+// otherwise the file's generated content from cw, whose digest goes to
+// OnDigest when set.
+func (o Options) writeBody(cw *fsimage.ContentWriter, dst io.Writer, f fsimage.File) error {
+	if o.MetadataOnly {
+		for remaining := f.Size; remaining > 0; {
+			n := min(remaining, int64(len(zeroBlock)))
+			if _, err := dst.Write(zeroBlock[:n]); err != nil {
+				return err
+			}
+			remaining -= n
+		}
+		return nil
+	}
+	if o.OnDigest == nil {
+		return cw.Generate(dst, f)
+	}
+	sum, err := cw.GenerateSum(dst, f)
+	if err != nil {
+		return err
+	}
+	o.OnDigest(f, sum)
+	return nil
 }

@@ -3,9 +3,7 @@ package imgfmt
 import (
 	"bufio"
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"io/fs"
@@ -13,7 +11,6 @@ import (
 	"strconv"
 
 	"impressions/internal/fsimage"
-	"impressions/internal/stats"
 )
 
 // Squashfs v4 on-disk constants. The writer emits a fully uncompressed
@@ -63,14 +60,13 @@ const (
 // directly: `mount -o loop image.squashfs /mnt`, no mkfs, no root at build
 // time.
 type SquashfsSink struct {
-	w       io.WriteSeeker
-	bw      *bufio.Writer
-	opts    Options
-	ctx     context.Context
-	baseRNG *stats.RNG
-	tap     tapWriter
-	ts      fsimage.TreeSink
-	offset  int64 // disk bytes emitted so far
+	w      io.WriteSeeker
+	bw     *bufio.Writer
+	opts   Options
+	ctx    context.Context
+	cw     *fsimage.ContentWriter
+	ts     fsimage.TreeSink
+	offset int64 // disk bytes emitted so far
 
 	// Per-file integer columns (names are regenerated from the ID and the
 	// interned name suffix, sizes drive the block lists, starts locate the
@@ -92,12 +88,11 @@ type SquashfsSink struct {
 func NewSquashfsSink(w io.WriteSeeker, opts Options) (*SquashfsSink, error) {
 	opts = opts.withDefaults()
 	s := &SquashfsSink{
-		w:       w,
-		bw:      bufio.NewWriterSize(w, 64*1024),
-		opts:    opts,
-		ctx:     opts.ctx(),
-		baseRNG: stats.NewRNG(opts.Seed).Fork(fsimage.MaterializeStreamLabel),
-		tap:     tapWriter{h: sha256.New()},
+		w:    w,
+		bw:   bufio.NewWriterSize(w, 64*1024),
+		opts: opts,
+		ctx:  opts.ctx(),
+		cw:   fsimage.NewContentWriter(opts.Registry, opts.Seed),
 
 		suffixIdx: make(map[string]int32),
 	}
@@ -171,33 +166,11 @@ func (s *SquashfsSink) AddFile(f fsimage.File) error {
 	s.fileStart = append(s.fileStart, s.offset)
 	s.fileSuffix = append(s.fileSuffix, idx)
 
-	if s.opts.MetadataOnly {
-		for remaining := f.Size; remaining > 0; {
-			n := int64(len(zeroBlock))
-			if remaining < n {
-				n = remaining
-			}
-			if err := s.write(zeroBlock[:n]); err != nil {
-				return err
-			}
-			remaining -= n
-		}
-		return nil
-	}
-	rng := s.baseRNG.SplitN(uint64(f.ID))
-	var dst io.Writer = s.bw
-	if s.opts.OnDigest != nil {
-		s.tap.w = s.bw
-		s.tap.h.Reset()
-		dst = &s.tap
-	}
-	if err := s.opts.Registry.ForExtension(f.Ext).Generate(dst, f.Size, rng); err != nil {
-		return fmt.Errorf("imgfmt: generating content for file %d: %w", f.ID, err)
+	// The body bypasses s.write, so the offset advances by the file size.
+	if err := s.opts.writeBody(s.cw, s.bw, f); err != nil {
+		return fmt.Errorf("imgfmt: writing squashfs data for file %d: %w", f.ID, err)
 	}
 	s.offset += f.Size
-	if s.opts.OnDigest != nil {
-		s.opts.OnDigest(f, hex.EncodeToString(s.tap.h.Sum(nil)))
-	}
 	return nil
 }
 

@@ -4,20 +4,13 @@ import (
 	"archive/tar"
 	"bufio"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 	"io/fs"
 
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
-	"impressions/internal/stats"
 )
-
-// zeroBlock feeds MetadataOnly entry bodies.
-var zeroBlock [32 * 1024]byte
 
 // tarWriter is the serialization core shared by every tar-producing path —
 // the monolithic TarSink, the per-shard WriteSegment, and the Stitcher. All
@@ -29,34 +22,20 @@ type tarWriter struct {
 	bw      *bufio.Writer
 	opts    Options
 	ctx     context.Context
-	baseRNG *stats.RNG
-	tap     tapWriter
+	cw      *fsimage.ContentWriter
 	pathBuf []byte
 	written int64
-}
-
-// tapWriter tees generated content into a hash without the per-file
-// io.MultiWriter allocation.
-type tapWriter struct {
-	w io.Writer
-	h hash.Hash
-}
-
-func (t *tapWriter) Write(p []byte) (int, error) {
-	t.h.Write(p)
-	return t.w.Write(p)
 }
 
 func newTarWriter(w io.Writer, opts Options) *tarWriter {
 	opts = opts.withDefaults()
 	bw := bufio.NewWriterSize(w, 64*1024)
 	return &tarWriter{
-		tw:      tar.NewWriter(bw),
-		bw:      bw,
-		opts:    opts,
-		ctx:     opts.ctx(),
-		baseRNG: stats.NewRNG(opts.Seed).Fork(fsimage.MaterializeStreamLabel),
-		tap:     tapWriter{h: sha256.New()},
+		tw:   tar.NewWriter(bw),
+		bw:   bw,
+		opts: opts,
+		ctx:  opts.ctx(),
+		cw:   fsimage.NewContentWriter(opts.Registry, opts.Seed),
 	}
 }
 
@@ -127,34 +106,8 @@ func (t *tarWriter) writeFileHeader(tree *namespace.Tree, f fsimage.File) (strin
 // writeFileBody generates one file's content straight into the archive —
 // zero bytes with MetadataOnly — and reports its digest to OnDigest.
 func (t *tarWriter) writeFileBody(f fsimage.File) error {
-	if t.opts.MetadataOnly {
-		for remaining := f.Size; remaining > 0; {
-			n := int64(len(zeroBlock))
-			if remaining < n {
-				n = remaining
-			}
-			if _, err := t.tw.Write(zeroBlock[:n]); err != nil {
-				return fmt.Errorf("imgfmt: writing tar body for file %d: %w", f.ID, err)
-			}
-			remaining -= n
-		}
-		t.written += f.Size
-		return nil
-	}
-	// Each file owns a stream keyed by its ID: bytes depend only on the
-	// seed and the file, never on which process or shard writes them.
-	rng := t.baseRNG.SplitN(uint64(f.ID))
-	var dst io.Writer = t.tw
-	if t.opts.OnDigest != nil {
-		t.tap.w = t.tw
-		t.tap.h.Reset()
-		dst = &t.tap
-	}
-	if err := t.opts.Registry.ForExtension(f.Ext).Generate(dst, f.Size, rng); err != nil {
-		return fmt.Errorf("imgfmt: generating content for file %d: %w", f.ID, err)
-	}
-	if t.opts.OnDigest != nil {
-		t.opts.OnDigest(f, hex.EncodeToString(t.tap.h.Sum(nil)))
+	if err := t.opts.writeBody(t.cw, t.tw, f); err != nil {
+		return fmt.Errorf("imgfmt: writing tar body for file %d: %w", f.ID, err)
 	}
 	t.written += f.Size
 	return nil
