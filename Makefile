@@ -7,7 +7,7 @@ MICRO_BENCH := ^Benchmark(HybridFileSizeSample|NamespaceGeneration|TreePath|File
 BENCH_TIME ?= 1x
 BENCH_DATE := $(shell date +%Y%m%d)
 
-.PHONY: build test race bench bench-smoke bench-json lint fmt ci dist-check dist-fault-check mem-check serve-check fleet-fault-check image-sink-check e2e-check
+.PHONY: build test race bench bench-smoke bench-json lint fmt ci dist-check dist-fault-check mem-check serve-check fleet-fault-check image-sink-check e2e-check fuzz-check
 
 build:
 	$(GO) build ./...
@@ -173,6 +173,16 @@ e2e-check:
 # TestPartitionedPlanBuildMemoryBound).
 mem-check:
 	$(GO) test ./internal/distribute -run 'TestStreamedPlanBuildMemoryBound|TestPartitionedPlanBuildMemoryBound' -v -timeout 15m
+
+# Local mirror of the CI fuzz step: every decoder of wire bytes another
+# process wrote runs under the fuzzer for a fixed time, starting from its
+# committed corpus (testdata/fuzz). Any input that panics, returns an
+# untyped error or breaks the round trip fails the target.
+fuzz-check:
+	$(GO) test ./internal/fsimage -run '^$$' -fuzz '^FuzzDecodeChunks$$' -fuzztime 10s
+	$(GO) test ./internal/distribute -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 10s
+	$(GO) test ./internal/distribute -run '^$$' -fuzz '^FuzzDecodePlan$$' -fuzztime 10s
+	$(GO) test ./internal/distribute -run '^$$' -fuzz '^FuzzDecodeShardView$$' -fuzztime 10s
 
 # lint = the full static gate: stock go vet, gofmt, and the project's
 # determinism-contract checkers (cmd/impressionsvet) run as a vet tool so

@@ -1,6 +1,7 @@
 package impressions_test
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"os"
@@ -174,40 +175,26 @@ func BenchmarkHybridFileSizeSample(b *testing.B) {
 	}
 }
 
-// benchNamespace builds a namespace with the generative model at the given
-// worker count; output is identical at every count (asserted by the
-// namespace determinism tests), so the Serial/Parallel pair isolates the
-// speculative-attachment speedup.
-func benchNamespace(b *testing.B, nDirs, workers int) {
+// benchNamespace builds a namespace of nDirs directories with the
+// generative model.
+func benchNamespace(b *testing.B, nDirs int) {
 	b.Helper()
 	b.ReportAllocs()
 	dirs := 0
 	for i := 0; i < b.N; i++ {
-		rng := stats.NewRNG(int64(i))
-		tree := namespace.GenerateTreeParallel(rng, nDirs, namespace.ShapeGenerative, workers)
+		tree := namespace.GenerateTree(stats.NewRNG(int64(i)), nDirs, namespace.ShapeGenerative)
 		dirs += tree.Len()
 	}
 	b.ReportMetric(float64(dirs)/b.Elapsed().Seconds(), "dirs/s")
 }
 
 // BenchmarkNamespaceGeneration measures building a 10,000-directory namespace
-// with the generative model (single worker).
-func BenchmarkNamespaceGeneration(b *testing.B) { benchNamespace(b, 10000, 1) }
-
-// BenchmarkNamespaceGenerationParallel uses one proposal worker per CPU.
-func BenchmarkNamespaceGenerationParallel(b *testing.B) {
-	benchNamespace(b, 10000, runtime.NumCPU())
-}
+// with the generative model.
+func BenchmarkNamespaceGeneration(b *testing.B) { benchNamespace(b, 10000) }
 
 // BenchmarkNamespaceGeneration100k scales the skeleton build to 100,000
-// directories, where speculative batches are large enough for the proposal
-// workers to matter.
-func BenchmarkNamespaceGeneration100k(b *testing.B) { benchNamespace(b, 100000, 1) }
-
-// BenchmarkNamespaceGeneration100kParallel is the multi-worker counterpart.
-func BenchmarkNamespaceGeneration100kParallel(b *testing.B) {
-	benchNamespace(b, 100000, runtime.NumCPU())
-}
+// directories.
+func BenchmarkNamespaceGeneration100k(b *testing.B) { benchNamespace(b, 100000) }
 
 // BenchmarkTreePath measures directory path construction over a deep
 // generative tree (the satellite fix replaced O(depth²) concatenation with a
@@ -281,28 +268,32 @@ func benchGeneration(b *testing.B, parallelism int) {
 }
 
 // benchPlanBuild builds a 100k-file distributed plan end to end (metadata
-// pass + chunk encode to a discarding writer) on either the streamed
-// (generator-fused, O(chunk) file records) or retained (in-memory image)
-// path. The allocs/op row is the number that matters: it is the perf
-// trajectory of the out-of-core planner's allocation ceiling.
+// pass + chunk encode) either into a discarding writer (streamed: O(chunk)
+// file records) or into memory and back through DecodePlan (retained: the
+// in-memory image distrun and merge open). The allocs/op row is the number
+// that matters: it is the perf trajectory of the out-of-core planner's
+// allocation ceiling.
 func benchPlanBuild(b *testing.B, streamed bool) {
 	b.Helper()
-	cfg := core.Config{NumFiles: 100000, NumDirs: 20000, FSSizeBytes: 100000 * 256, Seed: 1, Parallelism: 1}
+	req := distribute.PlanRequest{
+		Config:    core.Config{NumFiles: 100000, NumDirs: 20000, FSSizeBytes: 100000 * 256, Seed: 1, Parallelism: 1},
+		MaxShards: 8,
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if streamed {
-			if _, err := (distribute.PlanRequest{Config: cfg, MaxShards: 8}).Stream(context.Background(), io.Discard); err != nil {
+			if _, err := req.Stream(context.Background(), io.Discard); err != nil {
 				b.Fatal(err)
 			}
-		} else {
-			plan, err := distribute.BuildPlan(context.Background(), distribute.PlanRequest{Config: cfg, MaxShards: 8})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := plan.Encode(io.Discard); err != nil {
-				b.Fatal(err)
-			}
+			continue
+		}
+		var buf bytes.Buffer
+		if _, err := req.Stream(context.Background(), &buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := distribute.DecodePlan(&buf); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -336,8 +327,8 @@ func BenchmarkPartitionedPlanBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkRetainedPlanBuild is the in-memory reference the streamed path
-// is compared against.
+// BenchmarkRetainedPlanBuild is the in-memory plan the streamed path is
+// compared against: streamed, then decoded back into an image.
 func BenchmarkRetainedPlanBuild(b *testing.B) { benchPlanBuild(b, false) }
 
 // BenchmarkImageGenerationSerial is the single-worker reference.

@@ -434,15 +434,13 @@ func runStitch(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// runPlan resolves the metadata pass and writes the shard plan. With
-// -stream it takes the generator-fused out-of-core path: records go from
-// the metadata pass straight into the chunk encoder, so the planner never
-// holds the image — at 10^7+ files that is the difference between O(chunk)
-// file records and gigabytes of retained metadata. The plan bytes are
-// identical either way. With -partition K the plan is emitted as K
-// independent fragment documents plus an index at the plan path; with
-// -spill even the metadata columns live on disk, so the build runs in
-// O(dirs) heap at any file count.
+// runPlan resolves the metadata pass and writes the shard plan. Records go
+// from the metadata pass straight into the chunk encoder, so the planner
+// never holds the image — at 10^7+ files that is the difference between
+// O(chunk) file records and gigabytes of retained metadata. With
+// -partition K the plan is emitted as K independent fragment documents
+// plus an index at the plan path; with -spill even the metadata columns
+// live on disk, so the build runs in O(dirs) heap at any file count.
 func runPlan(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("impressions plan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -450,7 +448,6 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 	var (
 		shardsFlag    = fs.Int("shards", 4, "number of subtree shards to partition the namespace into")
 		planFlag      = fs.String("plan", "", "file to write the JSON plan to (required)")
-		streamFlag    = fs.Bool("stream", false, "stream records from the metadata pass into the plan file without retaining the image (O(chunk) file records; identical plan bytes)")
 		partitionFlag = fs.Int("partition", 0, "emit the plan as this many self-contained fragment documents (<plan>.frag<i>) plus a fragment index at -plan; fragments are byte-identical to slicing the monolithic plan")
 		spillFlag     = fs.String("spill", "", "spill the metadata pass's per-file columns to temp files under this directory (O(dirs) live heap; identical plan bytes)")
 		memFlag       = fs.Bool("mem", false, "report peak heap usage of the plan build")
@@ -463,12 +460,6 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 	}
 	if *gen.layout != 1.0 {
 		return usagef("plan: -layout is not supported in distributed runs (disk-layout simulation is a single-node feature)")
-	}
-	if *partitionFlag > 0 && *streamFlag {
-		return usagef("plan: -stream and -partition are exclusive (a partitioned plan is always streamed)")
-	}
-	if *spillFlag != "" && !*streamFlag && *partitionFlag <= 0 {
-		return usagef("plan: -spill needs a streaming build (-stream or -partition); the retained path would hold the image anyway")
 	}
 	shardsSet := false
 	fs.Visit(func(f *flag.Flag) {
@@ -490,8 +481,7 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 	}
 	var plan *distribute.Plan
 	fragments := 0
-	switch {
-	case *partitionFlag > 0:
+	if *partitionFlag > 0 {
 		plan, err = distribute.PartitionPlan(context.Background(), req, func(shard int) (io.WriteCloser, error) {
 			return os.Create(fmt.Sprintf("%s.frag%d", *planFlag, shard))
 		})
@@ -512,17 +502,12 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 			}
 			err = writeJSONFile(*planFlag, index.Encode)
 		}
-	case *streamFlag:
+	} else {
 		err = writeJSONFile(*planFlag, func(w io.Writer) error {
 			var serr error
 			plan, serr = req.Stream(context.Background(), w)
 			return serr
 		})
-	default:
-		plan, err = distribute.BuildPlan(context.Background(), req)
-		if err == nil {
-			err = writeJSONFile(*planFlag, plan.Encode)
-		}
 	}
 	if err != nil {
 		return err
@@ -1306,21 +1291,22 @@ func runDistrun(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	plan, err := distribute.BuildPlan(context.Background(), distribute.PlanRequest{Config: cfg, MaxShards: *shardsFlag})
-	if err != nil {
-		return err
-	}
-	open, err := plan.Open()
-	if err != nil {
-		return err
-	}
 	// The plan is deterministic from the flags, so rewriting it on resume is
 	// idempotent; if the work dir held a plan from different flags, the
 	// fingerprint check below retires its manifests as stale.
 	planPath := filepath.Join(workDir, "plan.json")
-	if err := writeJSONFile(planPath, plan.Encode); err != nil {
+	req := distribute.PlanRequest{Config: cfg, MaxShards: *shardsFlag}
+	if err := writeJSONFile(planPath, func(w io.Writer) error {
+		_, err := req.Stream(context.Background(), w)
+		return err
+	}); err != nil {
 		return err
 	}
+	open, err := distribute.LoadPlan(planPath)
+	if err != nil {
+		return err
+	}
+	plan := open.Plan
 
 	if err := os.MkdirAll(*outFlag, 0o755); err != nil {
 		return err

@@ -87,34 +87,38 @@ func TestRunUserSpecifiedSizeModel(t *testing.T) {
 	}
 }
 
-// TestPlanStreamWritesIdenticalPlan: `plan -stream` (the generator-fused
-// O(chunk) path) must write the byte-identical plan file the retained path
-// writes, and -mem must report the build's memory use.
+// TestPlanStreamWritesIdenticalPlan: `plan` always streams the metadata
+// pass into the plan file; -spill (file-backed metadata columns) must write
+// the byte-identical plan, -mem must report the build's memory use, and the
+// retired -stream flag is a usage error.
 func TestPlanStreamWritesIdenticalPlan(t *testing.T) {
 	dir := t.TempDir()
-	retained := filepath.Join(dir, "retained.json")
-	streamed := filepath.Join(dir, "streamed.json")
+	inMemory := filepath.Join(dir, "memory.json")
+	spilled := filepath.Join(dir, "spilled.json")
 	args := []string{"plan", "-files", "400", "-dirs", "80", "-seed", "9", "-shards", "3"}
-	if err := run(append(args, "-plan", retained), io.Discard, io.Discard); err != nil {
-		t.Fatalf("retained plan: %v", err)
+	if err := run(append(args, "-plan", inMemory), io.Discard, io.Discard); err != nil {
+		t.Fatalf("plan: %v", err)
 	}
 	var out bytes.Buffer
-	if err := run(append(args, "-stream", "-mem", "-plan", streamed), &out, io.Discard); err != nil {
-		t.Fatalf("streamed plan: %v", err)
+	if err := run(append(args, "-spill", t.TempDir(), "-mem", "-plan", spilled), &out, io.Discard); err != nil {
+		t.Fatalf("spilled plan: %v", err)
 	}
-	a, err := os.ReadFile(retained)
+	a, err := os.ReadFile(inMemory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(streamed)
+	b, err := os.ReadFile(spilled)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Error("plan -stream wrote different bytes than the retained path")
+		t.Error("plan -spill wrote different bytes than the in-memory metadata pass")
 	}
 	if !strings.Contains(out.String(), "peak heap") {
 		t.Errorf("-mem did not report peak heap:\n%s", out.String())
+	}
+	if err := run(append(args, "-stream", "-plan", filepath.Join(dir, "x.json")), io.Discard, io.Discard); err == nil {
+		t.Error("plan accepted the retired -stream flag")
 	}
 }
 
@@ -878,13 +882,16 @@ func TestDistrunResumeVerifiesOutRoot(t *testing.T) {
 // contract includes empty dirs, which the content digest alone would miss.
 func TestVerifyShardOnDiskChecksDirectories(t *testing.T) {
 	cfg := core.Config{NumFiles: 10, NumDirs: 60, FSSizeBytes: 10 * 1024, Seed: 5, Parallelism: 1}
-	plan, err := distribute.BuildPlan(context.Background(), distribute.PlanRequest{Config: cfg, MaxShards: 2})
-	if err != nil {
-		t.Fatalf("BuildPlan: %v", err)
+	planPath := filepath.Join(t.TempDir(), "plan.json")
+	if err := writeJSONFile(planPath, func(w io.Writer) error {
+		_, err := distribute.PlanRequest{Config: cfg, MaxShards: 2}.Stream(context.Background(), w)
+		return err
+	}); err != nil {
+		t.Fatalf("Stream: %v", err)
 	}
-	open, err := plan.Open()
+	open, err := distribute.LoadPlan(planPath)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("LoadPlan: %v", err)
 	}
 	out := t.TempDir()
 	for s := range open.Plan.Shards {

@@ -53,26 +53,12 @@ type FragmentIndex = distribute.FragmentIndex
 // canonical digest and verified totals, with no retained image.
 type FragmentMergeResult = distribute.FragmentMergeResult
 
-// BuildPlan resolves the metadata pass for the request and partitions it
-// into balanced subtree shards, retaining the image for in-process
-// execution. Pipelines that only need the plan file use PlanRequest.Stream;
-// fleets that want the plan built shard by shard use PartitionPlan.
-func BuildPlan(ctx context.Context, req PlanRequest) (*Plan, error) {
-	return distribute.BuildPlan(ctx, req)
-}
-
 // PartitionPlan builds a partitioned plan: K self-contained fragment
 // documents (byte-identical to slicing the monolithic plan file), written
 // to the writers open returns. Combined with PlanRequest.Spill, the whole
 // build runs in O(dirs) live heap regardless of file count.
 func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (io.WriteCloser, error)) (*Plan, error) {
 	return distribute.PartitionPlan(ctx, req, open)
-}
-
-// BuildPlanFragment emits a single shard's fragment document: the leasable
-// unit of distributed planning.
-func BuildPlanFragment(ctx context.Context, req PlanRequest, shard int, w io.Writer) (*Plan, error) {
-	return distribute.BuildPlanFragment(ctx, req, shard, w)
 }
 
 // MergeFragments verifies a complete set of fragment documents and worker

@@ -51,22 +51,35 @@ func ExampleSpecFingerprint() {
 	// Output: true false
 }
 
-// ExampleBuildPlan runs the whole distributed pipeline in one process:
-// plan, execute every shard, merge the manifests, and verify the merged
-// digest matches a plain single-process generation.
-func ExampleBuildPlan() {
+// ExampleLoadPlan runs the whole distributed pipeline in one process:
+// stream the plan to a file, load it back, execute every shard, merge the
+// manifests, and verify the merged digest matches a plain single-process
+// generation.
+func ExampleLoadPlan() {
 	cfg := impressions.Config{NumFiles: 300, NumDirs: 60, FSSizeBytes: 300 * 1024, Seed: 7}
 
-	plan, err := impressions.BuildPlan(context.Background(), impressions.PlanRequest{Config: cfg, MaxShards: 3})
+	dir, _ := os.MkdirTemp("", "impressions-example-plan")
+	defer os.RemoveAll(dir)
+	planPath := filepath.Join(dir, "plan.json")
+	f, err := os.Create(planPath)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	open, err := plan.Open()
+	_, err = impressions.PlanRequest{Config: cfg, MaxShards: 3}.Stream(context.Background(), f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
+	open, err := impressions.LoadPlan(planPath)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	plan := open.Plan
 	root, _ := os.MkdirTemp("", "impressions-example")
 	defer os.RemoveAll(root)
 

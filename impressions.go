@@ -41,12 +41,12 @@
 //
 // # Distributed generation and serving
 //
-// The same pipeline scales out: BuildPlan/PlanRequest.Stream partition an
-// image into shard plans, ExecuteShardView runs one shard anywhere, and
-// Merge verifies the manifests back into a single image (see the
-// distributed re-exports in this package). cmd/impressionsd wraps it all
-// as a long-running HTTP service with a content-addressed plan cache keyed
-// by SpecFingerprint.
+// The same pipeline scales out: PlanRequest.Stream writes an image's shard
+// plan (LoadPlan / LoadPlanShard read it back), ExecuteShardView runs one
+// shard anywhere, and Merge verifies the manifests back into a single image
+// (see the distributed re-exports in this package). cmd/impressionsd wraps
+// it all as a long-running HTTP service with a content-addressed plan cache
+// keyed by SpecFingerprint.
 //
 // # Errors
 //

@@ -158,12 +158,11 @@ func (g *Generator) ResolveMetadataContext(ctx context.Context) (*Metadata, erro
 		return nil, err
 	}
 
-	// Phase 1: directory structure (namespace skeleton), built with
-	// deterministic speculative attachment: identical trees at every
+	// Phase 1: directory structure (namespace skeleton). The attachment
+	// model is sequential, so it runs on one goroutine at every
 	// parallelism level.
 	start := clock.Now()
-	tree := namespace.GenerateTreeParallel(rng.Fork("namespace"), cfg.NumDirs, cfg.TreeShape,
-		effectiveParallelism(cfg.Parallelism))
+	tree := namespace.GenerateTree(rng.Fork("namespace"), cfg.NumDirs, cfg.TreeShape)
 	if cfg.UseSpecialDirectories {
 		tree.MarkSpecial(cfg.SpecialDirectories)
 	}

@@ -143,13 +143,10 @@ func largePlanConfig() core.Config {
 // the chunked format, the embedded image was built as one buffer and this
 // test's bound fails by an order of magnitude.
 func TestPlanStreamingMemoryBound(t *testing.T) {
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: largePlanConfig(), MaxShards: 4, ChunkSize: 2048})
-	if err != nil {
-		t.Fatalf("BuildPlan: %v", err)
-	}
 	var w maxWriteWriter
-	if err := plan.Encode(&w); err != nil {
-		t.Fatalf("Encode: %v", err)
+	plan, err := PlanRequest{Config: largePlanConfig(), MaxShards: 4, ChunkSize: 2048}.Stream(context.Background(), &w)
+	if err != nil {
+		t.Fatalf("Stream: %v", err)
 	}
 	if w.total < 1<<20 {
 		t.Fatalf("test image too small to be meaningful: %d bytes", w.total)
@@ -165,20 +162,16 @@ func TestPlanStreamingMemoryBound(t *testing.T) {
 // BenchmarkPlanRoundTrip tracks the cost (time and allocations) of
 // streaming a large plan through encode + decode.
 func BenchmarkPlanRoundTrip(b *testing.B) {
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: largePlanConfig(), MaxShards: 4})
+	_, encoded := streamPlan(b, PlanRequest{Config: largePlanConfig(), MaxShards: 4})
+	plan, err := DecodePlan(bytes.NewReader(encoded))
 	if err != nil {
-		b.Fatalf("BuildPlan: %v", err)
+		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := plan.Encode(&buf); err != nil {
-		b.Fatalf("Encode: %v", err)
-	}
-	encoded := buf.Bytes()
 	b.SetBytes(int64(len(encoded)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := plan.Encode(io.Discard); err != nil {
+		if err := encodePlan(plan, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := DecodePlan(bytes.NewReader(encoded)); err != nil {

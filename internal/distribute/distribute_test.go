@@ -3,6 +3,8 @@ package distribute
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,20 +46,38 @@ func singleProcessReference(t *testing.T, cfg core.Config) (*fsimage.Image, stri
 	return res.Image, digest, treeHash
 }
 
-// planRoundTrip builds a plan, encodes it to JSON, decodes and opens it —
-// the exact path a worker on another machine takes. The small chunk size
-// forces the metadata stream through many chunks even on test-sized images.
+// streamPlan writes the plan for req into memory and returns the sealed
+// plan and its document bytes.
+func streamPlan(t testing.TB, req PlanRequest) (*Plan, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	plan, err := req.Stream(context.Background(), &buf)
+	if err != nil {
+		t.Fatalf("Stream: %v", err)
+	}
+	return plan, buf.Bytes()
+}
+
+// encodePlan is the test oracle for the plan wire format: the shared
+// document encoder fed from a decoded plan's rebuilt image.
+func encodePlan(p *Plan, w io.Writer) error {
+	enc, err := newDocEncoder(w, planDoc, p)
+	if err != nil {
+		return err
+	}
+	if err := p.img.StreamRecords(enc); err != nil {
+		return err
+	}
+	return enc.Close()
+}
+
+// planRoundTrip streams a plan, decodes and opens it — the exact path a
+// worker on another machine takes. The small chunk size forces the
+// metadata stream through many chunks even on test-sized images.
 func planRoundTrip(t *testing.T, cfg core.Config, shards int) *OpenPlan {
 	t.Helper()
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: cfg, MaxShards: shards, ChunkSize: 64})
-	if err != nil {
-		t.Fatalf("BuildPlan(%d): %v", shards, err)
-	}
-	var buf bytes.Buffer
-	if err := plan.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	decoded, err := DecodePlan(&buf)
+	_, encoded := streamPlan(t, PlanRequest{Config: cfg, MaxShards: shards, ChunkSize: 64})
+	decoded, err := DecodePlan(bytes.NewReader(encoded))
 	if err != nil {
 		t.Fatalf("DecodePlan: %v", err)
 	}
@@ -251,15 +271,7 @@ func TestMergeRejectsTamperedManifests(t *testing.T) {
 // bytes, a truncated chunk stream, edited totals, and a wrong format
 // version.
 func TestOpenRejectsCorruptPlan(t *testing.T) {
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: 2, ChunkSize: 64})
-	if err != nil {
-		t.Fatalf("BuildPlan: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := plan.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	encoded := buf.Bytes()
+	_, encoded := streamPlan(t, PlanRequest{Config: testConfig(), MaxShards: 2, ChunkSize: 64})
 
 	// Flip one byte inside the chunk stream: either the JSON breaks or a
 	// chunk hash stops matching — both must fail the decode.
@@ -273,6 +285,14 @@ func TestOpenRejectsCorruptPlan(t *testing.T) {
 	truncated := append([]byte(nil), encoded[:len(encoded)/2]...)
 	if _, err := DecodePlan(bytes.NewReader(truncated)); err == nil {
 		t.Error("DecodePlan should reject a truncated stream")
+	}
+
+	// A header whose chunk size disagrees with how the stream is sliced:
+	// every chunk hash still verifies, but a re-encode would chain
+	// differently, so the document is damaged.
+	resized := bytes.Replace(encoded, []byte(`"chunk_size":64`), []byte(`"chunk_size":65`), 1)
+	if _, err := DecodePlan(bytes.NewReader(resized)); !errors.Is(err, fsimage.ErrManifestIntegrity) {
+		t.Errorf("DecodePlan on a plan whose header misstates its chunk size: got %v, want ErrManifestIntegrity", err)
 	}
 
 	// A v1-style plan (no header envelope) must be refused with a clear
@@ -356,10 +376,7 @@ func TestMetadataOnlyDistributedRun(t *testing.T) {
 // TestPlanFingerprintSensitivity asserts the fingerprint changes when any
 // output-determining field changes.
 func TestPlanFingerprintSensitivity(t *testing.T) {
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: 2})
-	if err != nil {
-		t.Fatalf("BuildPlan: %v", err)
-	}
+	plan, _ := streamPlan(t, PlanRequest{Config: testConfig(), MaxShards: 2})
 	base := plan.Fingerprint()
 	alt := *plan
 	alt.Seed++

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 
-	"impressions/internal/core"
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
 )
@@ -22,18 +21,12 @@ import (
 // resolves the metadata pass once, seals the monolithic plan header (chunk
 // count + chain hash, so the fragment-embedded plan fingerprints
 // bit-identically to the monolithic file's), and then routes one record
-// replay through K incremental shard-document encoders. Nothing retains the
+// replay through K incremental document encoders. Nothing retains the
 // image: live state is the compact tree plus K chunk buffers, and with the
 // spill knob set (PlanRequest.Spill) even the metadata columns live on
-// disk, so a 10⁸-file plan builds in O(dirs) heap.
-//
-// BuildPlanFragment is the distributable unit: the same deterministic pass,
-// emitting only one shard's document. Fragment i is byte-identical whether
-// produced by PartitionPlan, by BuildPlanFragment on another machine, or by
-// slicing a monolithic plan file (DecodePlanShard → Encode) — all three
-// derive from the same seed-keyed metadata replay — so a fleet can lease
-// planning work fragment by fragment and interoperate with every existing
-// consumer.
+// disk, so a 10⁸-file plan builds in O(dirs) heap. Fragment i is
+// byte-identical to slicing the monolithic plan file (DecodePlanShard →
+// Encode): both derive from the same seed-keyed metadata replay.
 //
 // MergeFragments is the no-O(image) verification pass: it streams all K
 // fragment documents through a DigestBuilder (plus each shard's manifest)
@@ -102,56 +95,13 @@ func FragmentName(planBase string, shard int) string {
 	return fmt.Sprintf("%s.frag%d", planBase, shard)
 }
 
-// sealedScaffold resolves the metadata pass for a partitioned request and
-// seals the plan header: the shared front half of PartitionPlan and
-// BuildPlanFragment. The caller owns the returned metadata (Close it).
-func sealedScaffold(ctx context.Context, req PlanRequest) (*Plan, *namespace.Partition, *core.Metadata, error) {
-	shards, err := req.shardCount()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	m, err := resolvePlanMetadata(ctx, req.config(), shards)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			m.Close()
-		}
-	}()
-	p, part, err := planScaffold(m, shards, req.ChunkSize)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// Seal the monolithic chunk chain without writing it anywhere: the
-	// fragment headers must carry the exact Chunks/ImageSHA256 the
-	// monolithic plan file would, or the fingerprint manifests bind to
-	// would diverge between partitioned and single-document planning.
-	enc := fsimage.NewChunkEncoder(p.ChunkSize, func(*fsimage.Chunk) error { return nil })
-	if err := m.StreamRecords(enc); err != nil {
-		return nil, nil, nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
-	}
-	if err := enc.Close(); err != nil {
-		return nil, nil, nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
-	}
-	p.Chunks = enc.Chunks()
-	p.ImageSHA256 = enc.ChainHash()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
-	}
-	ok = true
-	return p, part, m, nil
-}
-
 // fragmentRouter is the RecordSink that fans one metadata replay out to the
 // per-shard fragment encoders: every directory record goes to all of them,
-// each file record only to its shard's. A nil encoder slot skips that
-// shard (BuildPlanFragment's single-fragment mode).
+// each file record only to its shard's.
 type fragmentRouter struct {
 	ctx  context.Context
 	part *namespace.Partition
-	encs []*shardDocEncoder
+	encs []*docEncoder
 	n    int
 }
 
@@ -171,9 +121,6 @@ func (r *fragmentRouter) AddDir(d fsimage.DirRecord) error {
 		return err
 	}
 	for _, e := range r.encs {
-		if e == nil {
-			continue
-		}
 		if err := e.AddDir(d); err != nil {
 			return err
 		}
@@ -185,11 +132,7 @@ func (r *fragmentRouter) AddFile(f fsimage.File) error {
 	if err := r.poll(); err != nil {
 		return err
 	}
-	e := r.encs[r.part.ShardOf(f.DirID)]
-	if e == nil {
-		return nil
-	}
-	return e.AddFile(f)
+	return r.encs[r.part.ShardOf(f.DirID)].AddFile(f)
 }
 
 // PartitionPlan builds a partitioned plan: the request's shard count
@@ -204,13 +147,36 @@ func (r *fragmentRouter) AddFile(f fsimage.File) error {
 // Live memory is the compact tree plus one chunk buffer per fragment;
 // combined with PlanRequest.Spill the whole build runs in O(dirs) heap.
 func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (io.WriteCloser, error)) (*Plan, error) {
-	p, part, m, err := sealedScaffold(ctx, req)
+	shards, err := req.shardCount()
+	if err != nil {
+		return nil, err
+	}
+	m, err := resolvePlanMetadata(ctx, req.config(), shards)
 	if err != nil {
 		return nil, err
 	}
 	defer m.Close()
+	p, part, err := planScaffold(m, shards, req.ChunkSize)
+	if err != nil {
+		return nil, err
+	}
+	// Seal the monolithic chunk chain without writing it anywhere: the
+	// fragment headers must carry the exact Chunks/ImageSHA256 the
+	// monolithic plan file would, or the fingerprint manifests bind to
+	// would diverge between partitioned and single-document planning.
+	seal := fsimage.NewChunkEncoder(p.ChunkSize, func(*fsimage.Chunk) error { return nil })
+	if err := m.StreamRecords(seal); err != nil {
+		return nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
+	}
+	if err := seal.Close(); err != nil {
+		return nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
+	}
+	p.Chunks, p.ImageSHA256 = seal.Chunks(), seal.ChainHash()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
-	encs := make([]*shardDocEncoder, len(p.Shards))
+	encs := make([]*docEncoder, len(p.Shards))
 	wcs := make([]io.WriteCloser, len(p.Shards))
 	closeAll := func() {
 		for _, wc := range wcs {
@@ -247,36 +213,6 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 			closeAll()
 			return nil, fmt.Errorf("distribute: closing fragment %d: %w", s, err)
 		}
-	}
-	return p, nil
-}
-
-// BuildPlanFragment runs the same deterministic partitioned pass as
-// PartitionPlan but emits only shard's fragment document to w: the leasable
-// unit of distributed planning. Every node pays the metadata replay (the
-// placement model is a globally sequential process per depth level — a
-// fragment cannot be produced from a slice of the input), but no node holds
-// more than O(dirs) + one chunk buffer, and K nodes produce the K fragments
-// wall-clock-bounded by the slowest replay.
-func BuildPlanFragment(ctx context.Context, req PlanRequest, shard int, w io.Writer) (*Plan, error) {
-	p, part, m, err := sealedScaffold(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	defer m.Close()
-	if shard < 0 || shard >= len(p.Shards) {
-		return nil, fmt.Errorf("distribute: fragment %d out of range (plan has %d shards) (%w)", shard, len(p.Shards), fsimage.ErrInvalidSpec)
-	}
-	encs := make([]*shardDocEncoder, len(p.Shards))
-	if encs[shard], err = newShardDocEncoder(p, shard, w); err != nil {
-		return nil, err
-	}
-	router := &fragmentRouter{ctx: ctx, part: part, encs: encs}
-	if err := m.StreamRecords(router); err != nil {
-		return nil, fmt.Errorf("distribute: routing records to fragment %d: %w", shard, err)
-	}
-	if err := encs[shard].Close(); err != nil {
-		return nil, fmt.Errorf("distribute: sealing fragment %d: %w", shard, err)
 	}
 	return p, nil
 }

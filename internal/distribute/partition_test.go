@@ -71,24 +71,6 @@ func TestPartitionPlanFragmentsMatchSlicedPlan(t *testing.T) {
 	}
 }
 
-// TestBuildPlanFragmentMatchesPartitionPlan: the leasable single-fragment
-// build emits the same bytes as the corresponding writer of a full
-// partitioned build.
-func TestBuildPlanFragmentMatchesPartitionPlan(t *testing.T) {
-	cfg := testConfig()
-	req := PlanRequest{Config: cfg, Partition: 3, ChunkSize: 64}
-	_, frags := fragmentBuffers(t, req)
-	for s := 0; s < 3; s++ {
-		var buf bytes.Buffer
-		if _, err := BuildPlanFragment(context.Background(), req, s, &buf); err != nil {
-			t.Fatalf("BuildPlanFragment(%d): %v", s, err)
-		}
-		if !bytes.Equal(buf.Bytes(), frags[s]) {
-			t.Errorf("fragment %d: BuildPlanFragment bytes differ from PartitionPlan's", s)
-		}
-	}
-}
-
 // runFragmentPipeline executes every fragment through the real worker path
 // and merges the fragment streams, returning the merge result and the
 // materialized out root.
@@ -238,16 +220,14 @@ func TestSpilledPlanMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestPlanRequestValidation covers the request surface: BuildPlan rejects a
-// spill (the retained image would defeat it) and conflicting
-// MaxShards/Partition counts are an invalid spec.
+// TestPlanRequestValidation covers the request surface: conflicting
+// MaxShards/Partition counts are an invalid spec for both planners.
 func TestPlanRequestValidation(t *testing.T) {
-	if _, err := BuildPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: 2, Spill: t.TempDir()}); err == nil {
-		t.Error("BuildPlan accepted a spilled request")
-	}
-	_, err := BuildPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: 3, Partition: 2})
+	_, err := PartitionPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: 3, Partition: 2}, func(int) (io.WriteCloser, error) {
+		return nopWriteCloser{io.Discard}, nil
+	})
 	if !errors.Is(err, fsimage.ErrInvalidSpec) {
-		t.Errorf("conflicting MaxShards/Partition: got %v, want ErrInvalidSpec", err)
+		t.Errorf("PartitionPlan with conflicting counts: got %v, want ErrInvalidSpec", err)
 	}
 	if _, err := (PlanRequest{Config: testConfig(), MaxShards: 3, Partition: 2}).Stream(context.Background(), io.Discard); !errors.Is(err, fsimage.ErrInvalidSpec) {
 		t.Errorf("Stream with conflicting counts: got %v, want ErrInvalidSpec", err)

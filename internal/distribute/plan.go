@@ -1,17 +1,18 @@
 // Package distribute implements multi-node generation of file-system
 // images as a shard-plan / worker / merge pipeline:
 //
-//   - BuildPlan / PlanRequest.Stream run the (cheap) metadata pass once — directory
-//     skeleton, constrained file sizes, extensions, placement — and
-//     partition the namespace into balanced subtree shards, each carrying
-//     its stable RNG stream key. The partition and per-shard expectations
-//     are computed from the compact namespace tree and streaming per-shard
-//     accumulators, never from a retained file slice. A plan serializes as
-//     one JSON document whose image metadata streams through hash-guarded
-//     chunks, so encoding and decoding buffer O(chunk) bytes; Stream
-//     fuses generation and encoding so the producer side too holds O(chunk)
-//     file records (BuildPlan additionally retains the image for in-process
-//     pipelines).
+//   - PlanRequest.Stream runs the (cheap) metadata pass once — directory
+//     skeleton, constrained file sizes, extensions, placement — partitions
+//     the namespace into balanced subtree shards, each carrying its stable
+//     RNG stream key, and writes the plan document in the same pass. The
+//     partition and per-shard expectations are computed from the compact
+//     namespace tree and streaming per-shard accumulators, never from a
+//     retained file slice, and the metadata streams through hash-guarded
+//     chunks, so the planner holds O(chunk) file records. PartitionPlan
+//     writes the same plan as K self-contained shard documents instead.
+//     Every consumer reads plans back through one decoder: DecodePlan /
+//     LoadPlan rebuild the image for in-process use (Open), DecodePlanShard
+//     / LoadPlanShard keep one shard.
 //   - A shard executor runs one shard in total isolation: it needs only the
 //     plan file, produces the shard's directories and files (the expensive
 //     content pass) as a directory tree (ExecuteShardView, or
@@ -32,19 +33,17 @@
 // The headline invariant, enforced by tests and CI: for a fixed seed,
 // plan → K workers → merge produces an image byte-identical to a
 // single-process run, for any K — even across worker failures, retries and
-// resumed runs, and regardless of whether the plan was built retained or
-// streamed. This holds because every RNG stream is a pure function of the
+// resumed runs, and whether the plan was written whole or as fragments.
+// This holds because every RNG stream is a pure function of the
 // master seed and a stable key (see stats.StreamKey), never of process or
 // worker identity, and because a shard's output is only trusted once its
 // sealed manifest verifies against the plan fingerprint.
 package distribute
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -88,16 +87,11 @@ type ShardPlan struct {
 // image metadata plus the shard partition. It is self-contained — a worker
 // needs nothing but the plan file and its shard index.
 //
-// On the wire a plan is one JSON document of the form
-//
-//	{"header": {...this struct...}, "chunks": [...], "trailer": {...}}
-//
-// where the chunks stream the image metadata (fsimage.Chunk) in fixed
-// order and the trailer seals the stream (chunk count + chain hash — known
-// only after the last chunk, which is what lets a fused generation pass
-// write the header first and stream the rest). Encode, Stream, and
-// DecodePlan all process the chunks one at a time, so peak memory for the
-// serialized metadata is O(chunk) regardless of image size.
+// On the wire a plan is one document of the shared chunked envelope
+// (see document.go): {"header": {...this struct...}, "chunks": [...],
+// "trailer": {...}}. Stream writes it and DecodePlan reads it one chunk at
+// a time, so peak memory for the serialized metadata is O(chunk)
+// regardless of image size.
 type Plan struct {
 	FormatVersion int    `json:"format_version"`
 	Seed          int64  `json:"seed"`
@@ -121,17 +115,9 @@ type Plan struct {
 	ImageSHA256 string      `json:"-"`
 	Shards      []ShardPlan `json:"shards"`
 
-	// img is the retained image metadata: populated by BuildPlan on the
-	// producing side and rebuilt chunk by chunk by DecodePlan on the
-	// consuming side. Stream leaves it nil — the streamed producer never
-	// holds the image. It never appears in the wire JSON.
+	// img is the image metadata DecodePlan rebuilds chunk by chunk for
+	// Open. The planner never holds it. It never appears in the wire JSON.
 	img *fsimage.Image
-}
-
-// planTrailer seals a plan document's chunk stream.
-type planTrailer struct {
-	Chunks      int    `json:"chunks"`
-	ImageSHA256 string `json:"image_sha256"`
 }
 
 // contentStreamKey is the stream key every shard records for the content
@@ -209,173 +195,34 @@ func planScaffold(m *core.Metadata, maxShards, chunkSize int) (*Plan, *namespace
 	}, part, nil
 }
 
-// Encode writes the retained plan as its JSON document: header, metadata
-// chunks streamed one at a time, sealing trailer. Peak buffering is one
-// chunk.
-func (p *Plan) Encode(w io.Writer) error {
-	if p.img == nil {
-		return fmt.Errorf("distribute: plan holds no image metadata to encode")
-	}
-	chunks, chain, err := p.encodeDocument(w, p.img.StreamRecords)
-	if err != nil {
-		return err
-	}
-	// Guard against the image having been mutated after BuildPlan sealed
-	// the plan: the streamed chunks must chain to the recorded hash.
-	if chain != p.ImageSHA256 || chunks != p.Chunks {
-		return fmt.Errorf("distribute: plan metadata changed since it was sealed (chain %s over %d chunks, plan says %s over %d) (%w)",
-			chain, chunks, p.ImageSHA256, p.Chunks, fsimage.ErrManifestIntegrity)
-	}
-	return nil
-}
-
-// encodeDocument writes the plan document around a record stream: the
-// header object, then every record chunked and streamed by the given
-// source, then the sealing trailer. It returns the sealed chunk count and
-// chain hash.
-func (p *Plan) encodeDocument(w io.Writer, stream func(fsimage.RecordSink) error) (int, string, error) {
-	bw := bufio.NewWriterSize(w, 64*1024)
-	header, err := json.Marshal(p)
-	if err != nil {
-		return 0, "", fmt.Errorf("distribute: encoding plan header: %w", err)
-	}
-	if _, err := fmt.Fprintf(bw, "{\"header\":%s,\"chunks\":[", header); err != nil {
-		return 0, "", fmt.Errorf("distribute: encoding plan: %w", err)
-	}
-	first := true
-	enc := fsimage.NewChunkEncoder(p.ChunkSize, func(c *fsimage.Chunk) error {
-		raw, err := json.Marshal(c)
-		if err != nil {
-			return fmt.Errorf("encoding metadata chunk %d: %w", c.Index, err)
+// decodePlanDocument reads a plan document, replaying its verified records
+// into the sink open returns for the format-checked header. The returned
+// plan is the header open was handed, sealed with the trailer's chunk
+// count and chain hash.
+func decodePlanDocument(r io.Reader, open func(*Plan) (fsimage.RecordSink, error)) (*Plan, error) {
+	p := &Plan{}
+	chunks, seal, err := decodeDocument(r, planDoc, p, func() (fsimage.RecordSink, error) {
+		if err := p.checkFormat(); err != nil {
+			return nil, err
 		}
-		if !first {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err = bw.Write(raw)
-		return err
+		return open(p)
 	})
-	if err := stream(enc); err != nil {
-		return 0, "", fmt.Errorf("distribute: %w", err)
-	}
-	if err := enc.Close(); err != nil {
-		return 0, "", fmt.Errorf("distribute: %w", err)
-	}
-	trailer, err := json.Marshal(planTrailer{Chunks: enc.Chunks(), ImageSHA256: enc.ChainHash()})
 	if err != nil {
-		return 0, "", fmt.Errorf("distribute: encoding plan trailer: %w", err)
+		return nil, err
 	}
-	if _, err := fmt.Fprintf(bw, "],\"trailer\":%s}\n", trailer); err != nil {
-		return 0, "", fmt.Errorf("distribute: encoding plan: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, "", fmt.Errorf("distribute: encoding plan: %w", err)
-	}
-	return enc.Chunks(), enc.ChainHash(), nil
+	p.Chunks, p.ImageSHA256 = chunks, seal
+	return p, nil
 }
 
-// expectDelim reads one JSON token and requires it to be the given
-// delimiter.
-func expectDelim(dec *json.Decoder, want rune, where string) error {
-	tok, err := dec.Token()
-	if err != nil {
-		return fmt.Errorf("distribute: decoding plan %s: %w", where, err)
-	}
-	if d, ok := tok.(json.Delim); !ok || rune(d) != want {
-		return fmt.Errorf("distribute: decoding plan %s: got %v, want %q", where, tok, want)
-	}
-	return nil
-}
-
-// decodePlanStream reads a plan document from r, verifying each metadata
-// chunk's integrity hash and replaying the verified records into the sink
-// returned by open (called once, after the header is decoded and
-// validated). The chunk chain is verified against the sealing trailer. This
-// is the single wire reader behind both the retained DecodePlan and the
-// shard-pruning DecodePlanShard.
-func decodePlanStream(r io.Reader, open func(*Plan) (fsimage.RecordSink, error)) (*Plan, error) {
-	dec := json.NewDecoder(bufio.NewReaderSize(r, 64*1024))
-	if err := expectDelim(dec, '{', "document"); err != nil {
-		return nil, err
-	}
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("distribute: decoding plan: %w", err)
-	}
-	if key, ok := tok.(string); !ok || key != "header" {
-		return nil, fmt.Errorf("distribute: plan does not start with a header (got %v) — not a v%d chunked plan; rebuild it with this impressions version", tok, FormatVersion)
-	}
-	var p Plan
-	if err := dec.Decode(&p); err != nil {
-		return nil, fmt.Errorf("distribute: decoding plan header: %w", err)
-	}
-	if p.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("distribute: plan format v%d, this build speaks v%d (%w)", p.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
-	}
-	sink, err := open(&p)
-	if err != nil {
-		return nil, err
-	}
-	tok, err = dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("distribute: decoding plan: %w", err)
-	}
-	if key, ok := tok.(string); !ok || key != "chunks" {
-		return nil, fmt.Errorf("distribute: plan header is not followed by metadata chunks (got %v)", tok)
-	}
-	if err := expectDelim(dec, '[', "chunk stream"); err != nil {
-		return nil, err
-	}
-	cdec := fsimage.NewChunkDecoder(sink)
-	var c fsimage.Chunk
-	for dec.More() {
-		c = fsimage.Chunk{}
-		if err := dec.Decode(&c); err != nil {
-			return nil, fmt.Errorf("distribute: decoding metadata chunk %d: %w", cdec.Chunks(), err)
-		}
-		if err := cdec.AddChunk(&c); err != nil {
-			return nil, fmt.Errorf("distribute: %w", err)
-		}
-	}
-	if err := expectDelim(dec, ']', "chunk stream"); err != nil {
-		return nil, err
-	}
-	tok, err = dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("distribute: decoding plan trailer: %w", err)
-	}
-	if key, ok := tok.(string); !ok || key != "trailer" {
-		return nil, fmt.Errorf("distribute: plan chunks are not followed by a sealing trailer (got %v) — truncated? (%w)", tok, fsimage.ErrManifestIntegrity)
-	}
-	var tr planTrailer
-	if err := dec.Decode(&tr); err != nil {
-		return nil, fmt.Errorf("distribute: decoding plan trailer: %w", err)
-	}
-	if err := expectDelim(dec, '}', "document"); err != nil {
-		return nil, err
-	}
-	if cdec.Chunks() != tr.Chunks {
-		return nil, fmt.Errorf("distribute: plan trailer promises %d metadata chunks, stream carried %d — truncated? (%w)", tr.Chunks, cdec.Chunks(), fsimage.ErrManifestIntegrity)
-	}
-	if got := cdec.ChainHash(); got != tr.ImageSHA256 {
-		return nil, fmt.Errorf("distribute: embedded image hash mismatch: plan says %s, chunks chain to %s (%w)", tr.ImageSHA256, got, fsimage.ErrManifestIntegrity)
-	}
-	p.Chunks = tr.Chunks
-	p.ImageSHA256 = tr.ImageSHA256
-	return &p, nil
-}
-
-// DecodePlan reads a plan previously written by Encode or Stream,
-// verifying each metadata chunk's integrity hash and rebuilding the image
-// incrementally — the serialized metadata is never held in memory whole.
-// Open validates the decoded plan's shard expectations and unpacks the
-// partition. Workers that only need one shard use DecodePlanShard instead
-// and never rebuild the image.
+// DecodePlan reads a plan written by PlanRequest.Stream, verifying each
+// metadata chunk's integrity hash and rebuilding the image incrementally —
+// the serialized metadata is never held in memory whole. Open validates
+// the decoded plan's shard expectations and unpacks the partition. Workers
+// that only need one shard use DecodePlanShard instead and never rebuild
+// the image.
 func DecodePlan(r io.Reader) (*Plan, error) {
 	var builder *fsimage.ImageSink
-	p, err := decodePlanStream(r, func(hdr *Plan) (fsimage.RecordSink, error) {
+	p, err := decodePlanDocument(r, func(hdr *Plan) (fsimage.RecordSink, error) {
 		builder = fsimage.NewImageSink(hdr.Spec)
 		return builder, nil
 	})
@@ -384,7 +231,7 @@ func DecodePlan(r io.Reader) (*Plan, error) {
 	}
 	img, err := builder.Image()
 	if err != nil {
-		return nil, fmt.Errorf("distribute: embedded image: %w", err)
+		return nil, fmt.Errorf("distribute: embedded image: %w (%w)", err, fsimage.ErrManifestIntegrity)
 	}
 	p.img = img
 	return p, nil
@@ -427,11 +274,50 @@ func (p *Plan) validateShardTable() ([][]int, error) {
 	roots := make([][]int, len(p.Shards))
 	for i, s := range p.Shards {
 		if s.Index != i {
-			return nil, fmt.Errorf("distribute: shard %d recorded with index %d", i, s.Index)
+			return nil, fmt.Errorf("distribute: shard %d recorded with index %d (%w)", i, s.Index, fsimage.ErrManifestIntegrity)
 		}
 		roots[i] = s.Roots
 	}
 	return roots, nil
+}
+
+// partition rebuilds the shard partition over tree from the header's
+// shard table.
+func (p *Plan) partition(tree *namespace.Tree) (*namespace.Partition, error) {
+	roots, err := p.validateShardTable()
+	if err != nil {
+		return nil, err
+	}
+	part, err := namespace.PartitionFromRoots(tree, roots)
+	if err != nil {
+		return nil, fmt.Errorf("distribute: rebuilding partition: %w (%w)", err, fsimage.ErrManifestIntegrity)
+	}
+	return part, nil
+}
+
+// checkShardExpectations verifies every shard's sealed directory, file and
+// byte counts against the rebuilt partition and the records accumulated
+// into acc.
+func (p *Plan) checkShardExpectations(part *namespace.Partition, acc *namespace.ShardAccumulator) error {
+	for i, s := range p.Shards {
+		if len(part.Shards[i]) != s.Dirs || acc.Files(i) != s.Files || acc.Bytes(i) != s.Bytes {
+			return fmt.Errorf("distribute: shard %d expectations (%d dirs, %d files, %d bytes) do not match the embedded image (%d, %d, %d) (%w)",
+				i, s.Dirs, s.Files, s.Bytes, len(part.Shards[i]), acc.Files(i), acc.Bytes(i), fsimage.ErrManifestIntegrity)
+		}
+	}
+	return nil
+}
+
+// checkFormat refuses a plan this build cannot execute: another wire
+// format, or another canonical digest formula.
+func (p *Plan) checkFormat() error {
+	if p.FormatVersion != FormatVersion {
+		return fmt.Errorf("distribute: plan format v%d, this build speaks v%d (%w)", p.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
+	}
+	if p.DigestAlgo != fsimage.DigestVersion {
+		return fmt.Errorf("distribute: plan digest algo %q, this build computes %q (%w)", p.DigestAlgo, fsimage.DigestVersion, fsimage.ErrPlanVersion)
+	}
+	return nil
 }
 
 // OpenPlan is a validated, unpacked plan: the decoded image, the rebuilt
@@ -448,27 +334,20 @@ type OpenPlan struct {
 // reconstruction, per-shard invariants — and unpacks it for execution. The
 // metadata's chunk-level integrity is verified earlier, by DecodePlan.
 func (p *Plan) Open() (*OpenPlan, error) {
-	if p.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("distribute: plan format v%d, this build speaks v%d (%w)", p.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
-	}
-	if p.DigestAlgo != fsimage.DigestVersion {
-		return nil, fmt.Errorf("distribute: plan digest algo %q, this build computes %q (%w)", p.DigestAlgo, fsimage.DigestVersion, fsimage.ErrPlanVersion)
+	if err := p.checkFormat(); err != nil {
+		return nil, err
 	}
 	img := p.img
 	if img == nil {
-		return nil, fmt.Errorf("distribute: plan holds no image metadata (not produced by BuildPlan or DecodePlan)")
+		return nil, fmt.Errorf("distribute: plan holds no image metadata (only DecodePlan rebuilds it)")
 	}
 	if img.FileCount() != p.Files || img.DirCount() != p.Dirs || img.TotalBytes() != p.Bytes {
 		return nil, fmt.Errorf("distribute: plan totals (%d files, %d dirs, %d bytes) do not match embedded image (%d, %d, %d) (%w)",
 			p.Files, p.Dirs, p.Bytes, img.FileCount(), img.DirCount(), img.TotalBytes(), fsimage.ErrManifestIntegrity)
 	}
-	roots, err := p.validateShardTable()
+	part, err := p.partition(img.Tree)
 	if err != nil {
 		return nil, err
-	}
-	part, err := namespace.PartitionFromRoots(img.Tree, roots)
-	if err != nil {
-		return nil, fmt.Errorf("distribute: rebuilding partition: %w", err)
 	}
 	filesByShard := make([][]int, part.Len())
 	acc := namespace.NewShardAccumulator(part)
@@ -477,11 +356,8 @@ func (p *Plan) Open() (*OpenPlan, error) {
 		filesByShard[s] = append(filesByShard[s], i)
 		acc.Add(img.Files[i].DirID, img.Files[i].Size)
 	}
-	for i, s := range p.Shards {
-		if len(part.Shards[i]) != s.Dirs || acc.Files(i) != s.Files || acc.Bytes(i) != s.Bytes {
-			return nil, fmt.Errorf("distribute: shard %d expectations (%d dirs, %d files, %d bytes) do not match the embedded image (%d, %d, %d) (%w)",
-				i, s.Dirs, s.Files, s.Bytes, len(part.Shards[i]), acc.Files(i), acc.Bytes(i), fsimage.ErrManifestIntegrity)
-		}
+	if err := p.checkShardExpectations(part, acc); err != nil {
+		return nil, err
 	}
 	return &OpenPlan{Plan: p, Image: img, Part: part, FilesByShard: filesByShard}, nil
 }

@@ -11,8 +11,9 @@ import (
 
 // PlanRequest is the single entry point for building plans: one request
 // struct instead of a growing family of positional-argument functions. The
-// zero values of everything but Config are valid — a bare
-// PlanRequest{Config: cfg, MaxShards: k} reproduces the classic BuildPlan.
+// zero values of everything but Config are valid. Stream writes the plan
+// as one document, PartitionPlan as one shard document per shard; the two
+// carry the same plan header and fingerprint.
 type PlanRequest struct {
 	// Config is the image configuration the plan describes.
 	Config core.Config
@@ -30,16 +31,15 @@ type PlanRequest struct {
 	// Partition, when > 0, selects partitioned planning: PartitionPlan (and
 	// the serve layer) emit the plan as Partition independent fragments —
 	// one self-contained shard document each — instead of one monolithic
-	// document. For BuildPlan and Stream it simply fixes the shard count:
-	// the resulting plan header is identical to MaxShards = Partition, so
-	// fragments and monolithic documents interoperate freely.
+	// document. For Stream it simply fixes the shard count: the resulting
+	// plan header is identical to MaxShards = Partition, so fragments and
+	// monolithic documents interoperate freely.
 	Partition int
 
 	// Spill, when non-empty, routes the metadata pass through file-backed
 	// columns under this directory (core.Config.SpillDir): the single-node
 	// fallback that bounds the planner's live heap by O(dirs) when no fleet
-	// is available. Only streaming consumers accept it — BuildPlan rejects
-	// a spilled request because retaining the image would defeat the spill.
+	// is available. The plan bytes are identical with or without it.
 	Spill string
 }
 
@@ -62,54 +62,15 @@ func (r PlanRequest) config() core.Config {
 	return cfg
 }
 
-// BuildPlan runs the metadata pass for the request and partitions the
-// result into balanced subtree shards (oversized subtrees are cut at deeper
-// levels, so one worker per shard holds even when the generative model
-// concentrates the namespace under a few top-level directories). The
-// returned plan retains the image, so it can be Opened and executed
-// in-process without a decode round trip; pipelines that only need the plan
-// file use PlanRequest.Stream, and fleets that want the plan itself built
-// shard by shard use PartitionPlan — neither ever holds the image.
-func BuildPlan(ctx context.Context, req PlanRequest) (*Plan, error) {
-	if req.Spill != "" {
-		return nil, fmt.Errorf("distribute: spilled plan builds need a streaming consumer (PlanRequest.Stream or PartitionPlan); the retained image would defeat the spill")
-	}
-	shards, err := req.shardCount()
-	if err != nil {
-		return nil, err
-	}
-	m, err := resolvePlanMetadata(ctx, req.config(), shards)
-	if err != nil {
-		return nil, err
-	}
-	p, _, err := planScaffold(m, shards, req.ChunkSize)
-	if err != nil {
-		return nil, err
-	}
-	p.img = m.Image()
-
-	// One streaming pass over the metadata seals the chunk boundaries and
-	// the whole-image chain hash without ever buffering the chunks' JSON.
-	enc := fsimage.NewChunkEncoder(p.ChunkSize, func(*fsimage.Chunk) error { return nil })
-	if err := p.img.StreamRecords(enc); err != nil {
-		return nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
-	}
-	if err := enc.Close(); err != nil {
-		return nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
-	}
-	p.Chunks = enc.Chunks()
-	p.ImageSHA256 = enc.ChainHash()
-	return p, nil
-}
-
-// Stream is the generator-fused planner: it resolves the metadata pass,
-// partitions the namespace, and writes the complete plan document to w in
-// one streaming pass — spec → metadata columns → chunk encoder — holding
-// O(chunk) live file records and never an image. The plan bytes are
-// byte-identical to BuildPlan(ctx, r).Encode for the same request, so
-// manifests produced against either are interchangeable. The returned plan
-// is sealed (fingerprintable) but retains no image; Open it via a decode
-// (LoadPlan / LoadPlanShard) if execution state is needed.
+// Stream is the planner: it resolves the metadata pass, partitions the
+// namespace into balanced subtree shards (oversized subtrees are cut at
+// deeper levels, so one worker per shard holds even when the generative
+// model concentrates the namespace under a few top-level directories), and
+// writes the complete plan document to w in one streaming pass — spec →
+// metadata columns → chunk encoder — holding O(chunk) live file records and
+// never an image. The returned plan is sealed (fingerprintable) but retains
+// no image; decode the written bytes (LoadPlan / LoadPlanShard) for
+// execution state.
 //
 // The metadata pass honors ctx, so a server can abandon a plan build whose
 // requester is gone. On cancellation the partially written document is
@@ -128,11 +89,16 @@ func (r PlanRequest) Stream(ctx context.Context, w io.Writer) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	chunks, chain, err := p.encodeDocument(w, m.StreamRecords)
+	enc, err := newDocEncoder(w, planDoc, p)
 	if err != nil {
 		return nil, err
 	}
-	p.Chunks = chunks
-	p.ImageSHA256 = chain
+	if err := m.StreamRecords(enc); err != nil {
+		return nil, fmt.Errorf("distribute: %w", err)
+	}
+	if err := enc.Close(); err != nil {
+		return nil, err
+	}
+	p.Chunks, p.ImageSHA256 = enc.Chunks(), enc.ChainHash()
 	return p, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
@@ -13,8 +14,9 @@ import (
 // sealed plan header, the compact directory tree, the rebuilt partition,
 // and just that shard's file records. The pruned decode (DecodePlanShard)
 // produces one while holding O(dirs + shard files + chunk) memory — a
-// worker's footprint is bounded by its shard, not by the image — and the
-// retained OpenPlan can project one out for in-process execution.
+// worker's footprint is bounded by its shard, not by the image — and so
+// does DecodeShardView from a shard document; a decoded OpenPlan can
+// project one out for in-process execution.
 type ShardView struct {
 	Plan  *Plan
 	Tree  *namespace.Tree
@@ -31,73 +33,117 @@ type ShardView struct {
 	StreamedFileRecords int
 }
 
-// shardPruner is the RecordSink behind DecodePlanShard: the compact
-// TreeSink plus a filter retaining only the target shard's file records,
-// with streaming per-shard accumulators standing in for the retained
-// Open-time validation.
-type shardPruner struct {
+// viewCore is the shard-view assembly both shard decoders share: the
+// untrusted plan header and target shard, the compact tree the directory
+// stream rebuilds, the partition rebuilt from the header's shard table once
+// that stream completes, and the retained file records. What differs —
+// whole-image density for a plan's records, sparse shard membership for a
+// shard document's — stays with shardPruner and viewAssembler.
+type viewCore struct {
 	hdr   *Plan
 	shard int
 	ts    *fsimage.TreeSink
 	part  *namespace.Partition
-	acc   *namespace.ShardAccumulator
 	files []fsimage.File
-	total int
+	// onPartition, when non-nil, fires once, right after the partition is
+	// rebuilt.
+	onPartition func() error
 }
 
-func newShardPruner(hdr *Plan, shard int) (*shardPruner, error) {
-	if hdr.DigestAlgo != fsimage.DigestVersion {
-		return nil, fmt.Errorf("distribute: plan digest algo %q, this build computes %q (%w)", hdr.DigestAlgo, fsimage.DigestVersion, fsimage.ErrPlanVersion)
+func newViewCore(hdr *Plan, shard int) (viewCore, error) {
+	if err := hdr.checkFormat(); err != nil {
+		return viewCore{}, err
 	}
 	if shard < 0 || shard >= len(hdr.Shards) {
-		return nil, fmt.Errorf("distribute: shard %d out of range (plan has %d shards) (%w)", shard, len(hdr.Shards), fsimage.ErrInvalidSpec)
+		return viewCore{}, fmt.Errorf("distribute: shard %d out of range (plan has %d shards) (%w)", shard, len(hdr.Shards), fsimage.ErrInvalidSpec)
 	}
-	pr := &shardPruner{hdr: hdr, shard: shard}
-	// The header is untrusted until the stream verifies: clamp the
-	// preallocation so a tampered shard count degrades into a failed
-	// expectation check, never a gigantic allocation.
-	if n := hdr.Shards[shard].Files; n > 0 {
-		pr.files = make([]fsimage.File, 0, min(n, 1<<20))
-	}
-	pr.ts = fsimage.NewTreeSink(pr.onFile)
-	return pr, nil
+	return viewCore{hdr: hdr, shard: shard}, nil
 }
 
-func (pr *shardPruner) AddDir(d fsimage.DirRecord) error { return pr.ts.AddDir(d) }
-func (pr *shardPruner) AddFile(f fsimage.File) error     { return pr.ts.AddFile(f) }
+func (c *viewCore) AddDir(d fsimage.DirRecord) error { return c.ts.AddDir(d) }
 
 // ensurePartition rebuilds the partition once the directory stream is
-// complete (at the first file record, or at end-of-stream for file-less
-// plans).
-func (pr *shardPruner) ensurePartition() error {
-	if pr.part != nil {
+// complete (at the first file record, or at end-of-stream when no file
+// records follow).
+func (c *viewCore) ensurePartition() error {
+	if c.part != nil {
 		return nil
 	}
-	if got := pr.ts.DirCount(); got != pr.hdr.Dirs {
-		return fmt.Errorf("distribute: plan stream carried %d directories, header promises %d (%w)", got, pr.hdr.Dirs, fsimage.ErrManifestIntegrity)
+	if got := c.ts.DirCount(); got != c.hdr.Dirs {
+		return fmt.Errorf("distribute: document carried %d directories, plan header promises %d (%w)", got, c.hdr.Dirs, fsimage.ErrManifestIntegrity)
 	}
-	roots, err := pr.hdr.validateShardTable()
+	part, err := c.hdr.partition(c.ts.Tree())
 	if err != nil {
 		return err
 	}
-	part, err := namespace.PartitionFromRoots(pr.ts.Tree(), roots)
-	if err != nil {
-		return fmt.Errorf("distribute: rebuilding partition: %w", err)
+	c.part = part
+	if c.onPartition != nil {
+		return c.onPartition()
 	}
-	pr.part = part
-	pr.acc = namespace.NewShardAccumulator(part)
 	return nil
 }
+
+// retain keeps one of the shard's file records. The header is untrusted
+// until the stream verifies, so capacity grows toward its declared count
+// at most by doubling: a tampered count cannot force an allocation the
+// decoded records do not justify, and an honest one ends exactly sized.
+func (c *viewCore) retain(f fsimage.File) {
+	if len(c.files) == cap(c.files) {
+		n := max(2*len(c.files), 256)
+		if want := c.hdr.Shards[c.shard].Files; want > len(c.files) {
+			n = min(n, want)
+		}
+		c.files = slices.Grow(c.files, n-len(c.files))
+	}
+	c.files = append(c.files, f)
+}
+
+// view assembles the finished shard view.
+func (c *viewCore) view(streamed int) *ShardView {
+	return &ShardView{
+		Plan:                c.hdr,
+		Tree:                c.ts.Tree(),
+		Part:                c.part,
+		Shard:               c.shard,
+		Dirs:                c.part.Shards[c.shard],
+		Files:               c.files,
+		StreamedFileRecords: streamed,
+	}
+}
+
+// shardPruner is the RecordSink behind DecodePlanShard: the view core's
+// TreeSink validates the whole image's dense record stream, a filter
+// retains only the target shard's file records, and streaming per-shard
+// accumulators stand in for the retained Open-time validation.
+type shardPruner struct {
+	viewCore
+	acc *namespace.ShardAccumulator
+}
+
+func newShardPruner(hdr *Plan, shard int) (*shardPruner, error) {
+	core, err := newViewCore(hdr, shard)
+	if err != nil {
+		return nil, err
+	}
+	pr := &shardPruner{viewCore: core}
+	pr.ts = fsimage.NewTreeSink(pr.onFile)
+	pr.onPartition = func() error {
+		pr.acc = namespace.NewShardAccumulator(pr.part)
+		return nil
+	}
+	return pr, nil
+}
+
+func (pr *shardPruner) AddFile(f fsimage.File) error { return pr.ts.AddFile(f) }
 
 // onFile accounts every file record but retains only the target shard's.
 func (pr *shardPruner) onFile(f fsimage.File) error {
 	if err := pr.ensurePartition(); err != nil {
 		return err
 	}
-	pr.total++
 	pr.acc.Add(f.DirID, f.Size)
 	if pr.part.ShardOf(f.DirID) == pr.shard {
-		pr.files = append(pr.files, f)
+		pr.retain(f)
 	}
 	return nil
 }
@@ -112,21 +158,10 @@ func (pr *shardPruner) finish() (*ShardView, error) {
 		return nil, fmt.Errorf("distribute: plan stream carried %d files, %d bytes; header promises %d, %d (%w)",
 			pr.ts.FileCount(), pr.ts.TotalBytes(), pr.hdr.Files, pr.hdr.Bytes, fsimage.ErrManifestIntegrity)
 	}
-	for i, s := range pr.hdr.Shards {
-		if len(pr.part.Shards[i]) != s.Dirs || pr.acc.Files(i) != s.Files || pr.acc.Bytes(i) != s.Bytes {
-			return nil, fmt.Errorf("distribute: shard %d expectations (%d dirs, %d files, %d bytes) do not match the embedded image (%d, %d, %d) (%w)",
-				i, s.Dirs, s.Files, s.Bytes, len(pr.part.Shards[i]), pr.acc.Files(i), pr.acc.Bytes(i), fsimage.ErrManifestIntegrity)
-		}
+	if err := pr.hdr.checkShardExpectations(pr.part, pr.acc); err != nil {
+		return nil, err
 	}
-	return &ShardView{
-		Plan:                pr.hdr,
-		Tree:                pr.ts.Tree(),
-		Part:                pr.part,
-		Shard:               pr.shard,
-		Dirs:                pr.part.Shards[pr.shard],
-		Files:               pr.files,
-		StreamedFileRecords: pr.total,
-	}, nil
+	return pr.view(pr.ts.FileCount()), nil
 }
 
 // DecodePlanShard reads a plan document and retains only what executing the
@@ -136,9 +171,9 @@ func (pr *shardPruner) finish() (*ShardView, error) {
 // drops memory, not validation.
 func DecodePlanShard(r io.Reader, shard int) (*ShardView, error) {
 	var pr *shardPruner
-	// decodePlanStream hands the header to the callback and seals the
-	// trailer fields on that same struct, so pr.hdr is the finished plan.
-	if _, err := decodePlanStream(r, func(hdr *Plan) (fsimage.RecordSink, error) {
+	// The pruner holds the header decodePlanDocument seals, so pr.hdr is the
+	// finished plan.
+	if _, err := decodePlanDocument(r, func(hdr *Plan) (fsimage.RecordSink, error) {
 		var err error
 		pr, err = newShardPruner(hdr, shard)
 		return pr, err

@@ -1,8 +1,6 @@
 package distribute
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -11,9 +9,10 @@ import (
 	"impressions/internal/namespace"
 )
 
-// The shard wire format serializes one ShardView as a self-contained JSON
-// document, so a server can hand a worker exactly its slice of a plan
-// instead of the whole plan file:
+// The shard wire format serializes one ShardView as a self-contained
+// document of the shared chunked envelope (see document.go), so a server
+// can hand a worker exactly its slice of a plan instead of the whole plan
+// file:
 //
 //	{"view": {...header...}, "records": [...chunks...], "trailer": {...}}
 //
@@ -21,13 +20,11 @@ import (
 // Fingerprint folds, including the trailer-sealed chunk count and chain
 // hash, which Plan's own JSON omits) plus the shard index. The records
 // stream every directory of the compact tree followed by only the shard's
-// file records, sliced into the same hash-guarded chunks plan documents use
-// (fsimage.Chunk), and the trailer seals that stream. Both sides buffer
-// O(chunk): Encode streams straight off the view, DecodeShardView verifies
-// and assembles without ever holding the serialized form whole. A decoded
-// view executes exactly like one pruned out of the plan file — the plan
-// fingerprint reconstructs bit-for-bit, so manifests produced against
-// either are interchangeable.
+// file records, and the trailer seals that stream. Both sides buffer
+// O(chunk). A decoded view executes exactly like one pruned out of the
+// plan file — the plan fingerprint reconstructs bit-for-bit, so manifests
+// produced against either are interchangeable. A plan fragment
+// (PartitionPlan) is this same document.
 
 // shardWireHeader is the "view" object of a shard document.
 type shardWireHeader struct {
@@ -41,77 +38,18 @@ type shardWireHeader struct {
 	Plan        *Plan  `json:"plan"`
 }
 
-// shardWireTrailer seals a shard document's record stream.
-type shardWireTrailer struct {
-	Chunks        int    `json:"chunks"`
-	RecordsSHA256 string `json:"records_sha256"`
-}
-
-// shardDocEncoder writes one shard document incrementally: construct it
-// (which emits the header), push records through AddDir/AddFile, Close to
-// seal the trailer. ShardView.Encode is this encoder fed from a retained
-// view; the partitioned planner (BuildPlanFragment) feeds it straight off
-// the metadata replay, so a fragment is produced with O(chunk) buffering
-// and no retained file slice — and is byte-identical to the view-encoded
-// form by construction.
-type shardDocEncoder struct {
-	bw  *bufio.Writer
-	enc *fsimage.ChunkEncoder
-}
-
-func newShardDocEncoder(p *Plan, shard int, w io.Writer) (*shardDocEncoder, error) {
-	bw := bufio.NewWriterSize(w, 64*1024)
-	hdr, err := json.Marshal(shardWireHeader{
+// newShardDocEncoder starts shard's document of the sealed plan p.
+// ShardView.Encode feeds it from a retained view; PartitionPlan feeds one
+// per shard straight off the metadata replay, so fragments are
+// byte-identical to view-encoded documents by construction.
+func newShardDocEncoder(p *Plan, shard int, w io.Writer) (*docEncoder, error) {
+	return newDocEncoder(w, shardDoc, &shardWireHeader{
 		FormatVersion: FormatVersion,
 		Shard:         shard,
 		PlanChunks:    p.Chunks,
 		ImageSHA256:   p.ImageSHA256,
 		Plan:          p,
 	})
-	if err != nil {
-		return nil, fmt.Errorf("distribute: encoding shard view header: %w", err)
-	}
-	if _, err := fmt.Fprintf(bw, "{\"view\":%s,\"records\":[", hdr); err != nil {
-		return nil, fmt.Errorf("distribute: encoding shard view: %w", err)
-	}
-	e := &shardDocEncoder{bw: bw}
-	first := true
-	e.enc = fsimage.NewChunkEncoder(p.ChunkSize, func(c *fsimage.Chunk) error {
-		raw, err := json.Marshal(c)
-		if err != nil {
-			return fmt.Errorf("encoding record chunk %d: %w", c.Index, err)
-		}
-		if !first {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err = bw.Write(raw)
-		return err
-	})
-	return e, nil
-}
-
-func (e *shardDocEncoder) AddDir(d fsimage.DirRecord) error { return e.enc.AddDir(d) }
-func (e *shardDocEncoder) AddFile(f fsimage.File) error     { return e.enc.AddFile(f) }
-
-// Close seals the record chunks and writes the trailer.
-func (e *shardDocEncoder) Close() error {
-	if err := e.enc.Close(); err != nil {
-		return fmt.Errorf("distribute: %w", err)
-	}
-	trailer, err := json.Marshal(shardWireTrailer{Chunks: e.enc.Chunks(), RecordsSHA256: e.enc.ChainHash()})
-	if err != nil {
-		return fmt.Errorf("distribute: encoding shard view trailer: %w", err)
-	}
-	if _, err := fmt.Fprintf(e.bw, "],\"trailer\":%s}\n", trailer); err != nil {
-		return fmt.Errorf("distribute: encoding shard view: %w", err)
-	}
-	if err := e.bw.Flush(); err != nil {
-		return fmt.Errorf("distribute: encoding shard view: %w", err)
-	}
-	return nil
 }
 
 // Encode writes the view as a self-contained shard document: header, the
@@ -137,77 +75,39 @@ func (v *ShardView) Encode(w io.Writer) error {
 }
 
 // viewAssembler is the RecordSink behind DecodeShardView. The directory half
-// of the stream rebuilds the compact tree through the shared TreeSink
-// validation; the file half carries only the target shard's records, so it
-// gets its own checks — ascending IDs within the plan's range, valid
-// placement, shard membership — instead of TreeSink's whole-image density
-// check, and the shard's sealed expectations stand in for whole-image
-// totals.
+// of the stream rebuilds the compact tree through the view core; the file
+// half carries only the target shard's records, so it gets its own checks —
+// ascending IDs within the plan's range, valid placement, shard membership
+// — instead of TreeSink's whole-image density check, and the shard's sealed
+// expectations stand in for whole-image totals.
 type viewAssembler struct {
-	hdr   *Plan
-	shard int
-	ts    *fsimage.TreeSink
-	part  *namespace.Partition
-	files []fsimage.File
+	viewCore
 	// onFile, when non-nil, selects streaming assembly: each validated file
 	// record is handed to the callback instead of retained, so a consumer
 	// (the fragment merge) processes an arbitrarily large shard with O(dirs)
 	// assembler state. The finished view then carries no Files slice.
-	onFile func(fsimage.File) error
-	// onTree, when non-nil, fires once — as soon as the directory stream is
-	// complete and the partition verified (i.e. before the first file record
-	// is delivered) — handing the consumer the plan header and tree it needs
-	// to start folding a digest while files are still streaming.
-	onTree    func(hdr *Plan, tree *namespace.Tree) error
+	onFile    func(fsimage.File) error
 	lastID    int
 	fileCount int
 	bytes     int64
 }
 
-func newViewAssembler(hdr *Plan, shard int, onFile func(fsimage.File) error) (*viewAssembler, error) {
-	if hdr.DigestAlgo != fsimage.DigestVersion {
-		return nil, fmt.Errorf("distribute: plan digest algo %q, this build computes %q (%w)", hdr.DigestAlgo, fsimage.DigestVersion, fsimage.ErrPlanVersion)
+// newViewAssembler starts assembling shard's view of hdr. onTree, when
+// non-nil, fires once — as soon as the directory stream is complete and the
+// partition verified (i.e. before the first file record is delivered) —
+// handing the consumer the plan header and tree it needs to start folding
+// a digest while files are still streaming.
+func newViewAssembler(hdr *Plan, shard int, onFile func(fsimage.File) error, onTree func(*Plan, *namespace.Tree) error) (*viewAssembler, error) {
+	core, err := newViewCore(hdr, shard)
+	if err != nil {
+		return nil, err
 	}
-	if shard < 0 || shard >= len(hdr.Shards) {
-		return nil, fmt.Errorf("distribute: shard %d out of range (plan has %d shards) (%w)", shard, len(hdr.Shards), fsimage.ErrInvalidSpec)
-	}
-	a := &viewAssembler{hdr: hdr, shard: shard, ts: fsimage.NewTreeSink(nil), onFile: onFile, lastID: -1}
-	// The header is untrusted until the stream verifies: clamp the
-	// preallocation so a tampered file count degrades into a failed
-	// expectation check, never a gigantic allocation.
-	if n := hdr.Shards[shard].Files; n > 0 && onFile == nil {
-		a.files = make([]fsimage.File, 0, min(n, 1<<20))
+	a := &viewAssembler{viewCore: core, onFile: onFile, lastID: -1}
+	a.ts = fsimage.NewTreeSink(nil)
+	if onTree != nil {
+		a.onPartition = func() error { return onTree(a.hdr, a.ts.Tree()) }
 	}
 	return a, nil
-}
-
-func (a *viewAssembler) AddDir(d fsimage.DirRecord) error { return a.ts.AddDir(d) }
-
-// ensurePartition rebuilds the partition once the directory stream is
-// complete (at the first file record, or at end-of-stream for file-less
-// shards).
-func (a *viewAssembler) ensurePartition() error {
-	if a.part != nil {
-		return nil
-	}
-	if got := a.ts.DirCount(); got != a.hdr.Dirs {
-		return fmt.Errorf("distribute: shard document carried %d directories, plan promises %d (%w)", got, a.hdr.Dirs, fsimage.ErrManifestIntegrity)
-	}
-	roots, err := a.hdr.validateShardTable()
-	if err != nil {
-		return err
-	}
-	part, err := namespace.PartitionFromRoots(a.ts.Tree(), roots)
-	if err != nil {
-		return fmt.Errorf("distribute: rebuilding partition: %w", err)
-	}
-	a.part = part
-	if a.onTree != nil {
-		onTree := a.onTree
-		a.onTree = nil
-		return onTree(a.hdr, a.ts.Tree())
-	}
-	return nil
 }
 
 // AddFile validates the next shard file record. Unlike the whole-image
@@ -245,7 +145,7 @@ func (a *viewAssembler) AddFile(f fsimage.File) error {
 	if a.onFile != nil {
 		return a.onFile(f)
 	}
-	a.files = append(a.files, f)
+	a.retain(f)
 	return nil
 }
 
@@ -259,15 +159,7 @@ func (a *viewAssembler) finish() (*ShardView, error) {
 		return nil, fmt.Errorf("distribute: shard %d document carried %d dirs, %d files, %d bytes; plan promises %d, %d, %d (%w)",
 			a.shard, len(a.part.Shards[a.shard]), a.fileCount, a.bytes, sp.Dirs, sp.Files, sp.Bytes, fsimage.ErrManifestIntegrity)
 	}
-	return &ShardView{
-		Plan:                a.hdr,
-		Tree:                a.ts.Tree(),
-		Part:                a.part,
-		Shard:               a.shard,
-		Dirs:                a.part.Shards[a.shard],
-		Files:               a.files,
-		StreamedFileRecords: a.fileCount,
-	}, nil
+	return a.view(a.fileCount), nil
 }
 
 // DecodeShardView reads a shard document previously written by
@@ -284,84 +176,26 @@ func DecodeShardView(r io.Reader) (*ShardView, error) {
 // optional callbacks: with a non-nil onFile every validated file record
 // streams to it and the returned view carries the tree, partition, and plan
 // header but no Files slice — the fragment merge's O(dirs) path. onTree, if
-// set, fires once when the directory stream completes (see viewAssembler).
+// set, fires once when the directory stream completes (see newViewAssembler).
 func decodeShardDoc(r io.Reader, onFile func(fsimage.File) error, onTree func(*Plan, *namespace.Tree) error) (*ShardView, error) {
-	dec := json.NewDecoder(bufio.NewReaderSize(r, 64*1024))
-	if err := expectDelim(dec, '{', "shard document"); err != nil {
-		return nil, err
-	}
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("distribute: decoding shard document: %w", err)
-	}
-	if key, ok := tok.(string); !ok || key != "view" {
-		return nil, fmt.Errorf("distribute: shard document does not start with a view header (got %v)", tok)
-	}
 	var hdr shardWireHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("distribute: decoding shard view header: %w", err)
-	}
-	if hdr.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("distribute: shard document format v%d, this build speaks v%d (%w)", hdr.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
-	}
-	if hdr.Plan == nil {
-		return nil, fmt.Errorf("distribute: shard document carries no plan header (%w)", fsimage.ErrManifestIntegrity)
-	}
-	if hdr.Plan.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("distribute: plan format v%d, this build speaks v%d (%w)", hdr.Plan.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
-	}
-	// Restore the trailer-sealed fields Plan's own JSON omits; the
-	// fingerprint manifests bind to depends on them.
-	hdr.Plan.Chunks = hdr.PlanChunks
-	hdr.Plan.ImageSHA256 = hdr.ImageSHA256
-	asm, err := newViewAssembler(hdr.Plan, hdr.Shard, onFile)
-	if err != nil {
-		return nil, err
-	}
-	asm.onTree = onTree
-	tok, err = dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("distribute: decoding shard document: %w", err)
-	}
-	if key, ok := tok.(string); !ok || key != "records" {
-		return nil, fmt.Errorf("distribute: shard view header is not followed by records (got %v)", tok)
-	}
-	if err := expectDelim(dec, '[', "record stream"); err != nil {
-		return nil, err
-	}
-	cdec := fsimage.NewChunkDecoder(asm)
-	var c fsimage.Chunk
-	for dec.More() {
-		c = fsimage.Chunk{}
-		if err := dec.Decode(&c); err != nil {
-			return nil, fmt.Errorf("distribute: decoding record chunk %d: %w", cdec.Chunks(), err)
+	var asm *viewAssembler
+	if _, _, err := decodeDocument(r, shardDoc, &hdr, func() (fsimage.RecordSink, error) {
+		if hdr.FormatVersion != FormatVersion {
+			return nil, fmt.Errorf("distribute: shard document format v%d, this build speaks v%d (%w)", hdr.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
 		}
-		if err := cdec.AddChunk(&c); err != nil {
-			return nil, fmt.Errorf("distribute: %w", err)
+		if hdr.Plan == nil {
+			return nil, fmt.Errorf("distribute: shard document carries no plan header (%w)", fsimage.ErrManifestIntegrity)
 		}
-	}
-	if err := expectDelim(dec, ']', "record stream"); err != nil {
+		// Restore the trailer-sealed fields Plan's own JSON omits; the
+		// fingerprint manifests bind to depends on them.
+		hdr.Plan.Chunks = hdr.PlanChunks
+		hdr.Plan.ImageSHA256 = hdr.ImageSHA256
+		var err error
+		asm, err = newViewAssembler(hdr.Plan, hdr.Shard, onFile, onTree)
+		return asm, err
+	}); err != nil {
 		return nil, err
-	}
-	tok, err = dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("distribute: decoding shard trailer: %w", err)
-	}
-	if key, ok := tok.(string); !ok || key != "trailer" {
-		return nil, fmt.Errorf("distribute: shard records are not followed by a sealing trailer (got %v) — truncated? (%w)", tok, fsimage.ErrManifestIntegrity)
-	}
-	var tr shardWireTrailer
-	if err := dec.Decode(&tr); err != nil {
-		return nil, fmt.Errorf("distribute: decoding shard trailer: %w", err)
-	}
-	if err := expectDelim(dec, '}', "shard document"); err != nil {
-		return nil, err
-	}
-	if cdec.Chunks() != tr.Chunks {
-		return nil, fmt.Errorf("distribute: shard trailer promises %d record chunks, stream carried %d — truncated? (%w)", tr.Chunks, cdec.Chunks(), fsimage.ErrManifestIntegrity)
-	}
-	if got := cdec.ChainHash(); got != tr.RecordsSHA256 {
-		return nil, fmt.Errorf("distribute: shard record hash mismatch: trailer says %s, chunks chain to %s (%w)", tr.RecordsSHA256, got, fsimage.ErrManifestIntegrity)
 	}
 	return asm.finish()
 }

@@ -34,28 +34,24 @@ func streamPlanFile(t *testing.T, cfg core.Config, shards, chunkSize int, dir st
 	return path, plan
 }
 
-// TestStreamPlanMatchesRetainedBytes: the generator-fused planner and the
-// retained BuildPlan + Encode must produce byte-identical plan documents
-// (and therefore identical fingerprints), so manifests from either are
-// interchangeable.
+// TestStreamPlanMatchesRetainedBytes: re-encoding a decoded plan from its
+// rebuilt image (the retained oracle) must reproduce the streamed document
+// byte for byte, with the same sealed trailer fields and fingerprint —
+// Stream and DecodePlan are exact inverses.
 func TestStreamPlanMatchesRetainedBytes(t *testing.T) {
 	cfg := testConfig()
 	for _, chunkSize := range []int{0, 64} {
-		retained, err := BuildPlan(context.Background(), PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: chunkSize})
+		streamed, sbytes := streamPlan(t, PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: chunkSize})
+		retained, err := DecodePlan(bytes.NewReader(sbytes))
 		if err != nil {
-			t.Fatalf("BuildPlan: %v", err)
+			t.Fatalf("DecodePlan: %v", err)
 		}
 		var rbuf bytes.Buffer
-		if err := retained.Encode(&rbuf); err != nil {
-			t.Fatalf("Encode: %v", err)
+		if err := encodePlan(retained, &rbuf); err != nil {
+			t.Fatalf("encodePlan: %v", err)
 		}
-		var sbuf bytes.Buffer
-		streamed, err := PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: chunkSize}.Stream(context.Background(), &sbuf)
-		if err != nil {
-			t.Fatalf("Stream: %v", err)
-		}
-		if !bytes.Equal(rbuf.Bytes(), sbuf.Bytes()) {
-			t.Fatalf("chunkSize %d: streamed plan bytes differ from retained", chunkSize)
+		if !bytes.Equal(rbuf.Bytes(), sbytes) {
+			t.Fatalf("chunkSize %d: re-encoded plan bytes differ from streamed", chunkSize)
 		}
 		if streamed.Fingerprint() != retained.Fingerprint() {
 			t.Errorf("chunkSize %d: fingerprints differ: %s vs %s", chunkSize, streamed.Fingerprint(), retained.Fingerprint())

@@ -50,7 +50,7 @@ func ExecuteShardViewTar(v *ShardView, w io.Writer, opts WorkerOptions) (*Manife
 // plan or seed fails with fsimage.ErrManifestIntegrity.
 func StitchPlanTar(planR io.Reader, segments []io.Reader, w io.Writer, opts imgfmt.Options) (*Plan, error) {
 	var st *imgfmt.Stitcher
-	p, err := decodePlanStream(planR, func(hdr *Plan) (fsimage.RecordSink, error) {
+	p, err := decodePlanDocument(planR, func(hdr *Plan) (fsimage.RecordSink, error) {
 		roots, err := hdr.validateShardTable()
 		if err != nil {
 			return nil, err
@@ -73,7 +73,7 @@ func StitchPlanTar(planR io.Reader, segments []io.Reader, w io.Writer, opts imgf
 func WritePlanTar(planR io.Reader, w io.Writer, opts imgfmt.Options, registry func(kind string) *content.Registry) (*Plan, string, error) {
 	var sink *imgfmt.TarSink
 	var db *fsimage.DigestBuilder
-	p, err := decodePlanStream(planR, func(hdr *Plan) (fsimage.RecordSink, error) {
+	p, err := decodePlanDocument(planR, func(hdr *Plan) (fsimage.RecordSink, error) {
 		if registry != nil {
 			opts.Registry = registry(hdr.ContentKind)
 		} else if opts.Registry == nil {

@@ -2,30 +2,26 @@ package distribute
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"testing"
 
 	"impressions/internal/imgfmt"
 )
 
-// encodedPlan builds and encodes a plan for cfg, returning the document
-// bytes and the opened plan.
+// encodedTarPlan streams a plan for the test config, returning the
+// document bytes and the decoded, opened plan.
 func encodedTarPlan(t *testing.T, shards int) ([]byte, *OpenPlan) {
 	t.Helper()
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: shards, ChunkSize: 64})
+	_, encoded := streamPlan(t, PlanRequest{Config: testConfig(), MaxShards: shards, ChunkSize: 64})
+	plan, err := DecodePlan(bytes.NewReader(encoded))
 	if err != nil {
-		t.Fatalf("BuildPlan(%d): %v", shards, err)
-	}
-	var buf bytes.Buffer
-	if err := plan.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
+		t.Fatalf("DecodePlan: %v", err)
 	}
 	open, err := plan.Open()
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	return buf.Bytes(), open
+	return encoded, open
 }
 
 // TestTarWorkersStitchMatchesMonolithic is the tar counterpart of the

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -42,12 +43,16 @@ func testConfig() core.Config {
 	return core.Config{NumFiles: 240, NumDirs: 40, FSSizeBytes: 240 * 1024, Seed: 99, Parallelism: 1}
 }
 
-// openTestPlan builds and opens a small sharded plan.
+// openTestPlan streams, decodes and opens a small sharded plan.
 func openTestPlan(t *testing.T, shards int) *distribute.OpenPlan {
 	t.Helper()
-	plan, err := distribute.BuildPlan(context.Background(), distribute.PlanRequest{Config: testConfig(), MaxShards: shards, ChunkSize: 64})
+	var buf bytes.Buffer
+	if _, err := (distribute.PlanRequest{Config: testConfig(), MaxShards: shards, ChunkSize: 64}).Stream(context.Background(), &buf); err != nil {
+		t.Fatalf("Stream: %v", err)
+	}
+	plan, err := distribute.DecodePlan(&buf)
 	if err != nil {
-		t.Fatalf("BuildPlan: %v", err)
+		t.Fatalf("DecodePlan: %v", err)
 	}
 	open, err := plan.Open()
 	if err != nil {

@@ -144,11 +144,11 @@ func NewTreeSink(onFile func(File) error) *TreeSink {
 // AddDir applies the next directory record.
 func (s *TreeSink) AddDir(d DirRecord) error {
 	if s.nextFileID > 0 {
-		return fmt.Errorf("fsimage: directory %d arrived after the file stream began", d.ID)
+		return fmt.Errorf("fsimage: directory %d arrived after the file stream began (%w)", d.ID, ErrManifestIntegrity)
 	}
 	if s.tree == nil {
 		if d.ID != 0 {
-			return fmt.Errorf("fsimage: metadata stream begins with directory %d, want the root (0)", d.ID)
+			return fmt.Errorf("fsimage: metadata stream begins with directory %d, want the root (0) (%w)", d.ID, ErrManifestIntegrity)
 		}
 		s.tree = namespace.GenerateTree(nil, 1, namespace.ShapeFlat)
 		s.tree.Dirs[0].Name = d.Name
@@ -157,11 +157,11 @@ func (s *TreeSink) AddDir(d DirRecord) error {
 		return nil
 	}
 	if d.Parent < 0 || d.Parent >= s.tree.Len() {
-		return fmt.Errorf("fsimage: directory %d has invalid parent %d", d.ID, d.Parent)
+		return fmt.Errorf("fsimage: directory %d has invalid parent %d (%w)", d.ID, d.Parent, ErrManifestIntegrity)
 	}
 	id := s.tree.AddDir(d.Parent)
 	if id != d.ID {
-		return fmt.Errorf("fsimage: directory IDs are not dense (got %d want %d)", id, d.ID)
+		return fmt.Errorf("fsimage: directory IDs are not dense (got %d want %d) (%w)", id, d.ID, ErrManifestIntegrity)
 	}
 	s.tree.Dirs[id].Name = d.Name
 	s.tree.Dirs[id].Special = d.Special
@@ -173,22 +173,22 @@ func (s *TreeSink) AddDir(d DirRecord) error {
 // directory's counters, and forwards the record to OnFile.
 func (s *TreeSink) AddFile(f File) error {
 	if s.tree == nil {
-		return fmt.Errorf("fsimage: file %d arrived before any directory record", f.ID)
+		return fmt.Errorf("fsimage: file %d arrived before any directory record (%w)", f.ID, ErrManifestIntegrity)
 	}
 	if f.ID != s.nextFileID {
-		return fmt.Errorf("fsimage: file IDs are not dense (got %d want %d)", f.ID, s.nextFileID)
+		return fmt.Errorf("fsimage: file IDs are not dense (got %d want %d) (%w)", f.ID, s.nextFileID, ErrManifestIntegrity)
 	}
 	if f.DirID < 0 || f.DirID >= s.tree.Len() {
-		return fmt.Errorf("fsimage: file %d references unknown directory %d", f.ID, f.DirID)
+		return fmt.Errorf("fsimage: file %d references unknown directory %d (%w)", f.ID, f.DirID, ErrManifestIntegrity)
 	}
 	if f.Size < 0 {
-		return fmt.Errorf("fsimage: file %q has negative size %d", f.Name, f.Size)
+		return fmt.Errorf("fsimage: file %q has negative size %d (%w)", f.Name, f.Size, ErrManifestIntegrity)
 	}
 	if wantDepth := s.tree.Dirs[f.DirID].Depth + 1; f.Depth != wantDepth {
 		return fmt.Errorf("fsimage: file %q depth %d does not match directory depth %d (%w)", f.Name, f.Depth, wantDepth, ErrManifestIntegrity)
 	}
 	if f.Name == "" || strings.ContainsAny(f.Name, "/\x00") {
-		return fmt.Errorf("fsimage: file %d has invalid name %q", f.ID, f.Name)
+		return fmt.Errorf("fsimage: file %d has invalid name %q (%w)", f.ID, f.Name, ErrManifestIntegrity)
 	}
 	s.nextFileID++
 	s.totalBytes += f.Size

@@ -16,7 +16,6 @@ package namespace
 import (
 	"fmt"
 	"strconv"
-	"sync"
 )
 
 // Dir is one directory in a generated namespace.
@@ -114,10 +113,9 @@ type WeightedChooser interface {
 	Float64() float64
 }
 
-// IndexedChooser is the richer sampling interface the deterministic parallel
-// skeleton build needs: one uniform per directory index, derived purely from
-// the seed and the index so any number of goroutines can draw concurrently.
-// *stats.RNG satisfies it.
+// IndexedChooser is the richer sampling interface the generative build
+// prefers: one uniform per directory index, derived purely from the seed
+// and the index. *stats.RNG satisfies it.
 type IndexedChooser interface {
 	WeightedChooser
 	UniformAt(i uint64) float64
@@ -125,33 +123,11 @@ type IndexedChooser interface {
 
 // GenerateTree builds a directory tree with nDirs directories (including the
 // root) using the requested shape. For the generative shape, rng drives the
-// parent choices; flat and deep shapes are deterministic. It is equivalent to
-// GenerateTreeParallel with one worker — the tree for a given rng is
-// identical at every worker count.
+// parent choices; flat and deep shapes are deterministic. When rng does not
+// implement IndexedChooser the legacy sequential-stream model runs instead.
 func GenerateTree(rng WeightedChooser, nDirs int, shape TreeShape) *Tree {
-	return GenerateTreeParallel(rng, nDirs, shape, 1)
-}
-
-// GenerateTreeParallel builds the tree using up to workers goroutines for the
-// generative shape's parent draws. The C(d)+2 preferential-attachment model
-// is inherently sequential — directory i's parent weights depend on all
-// earlier choices — so the build speculates: proposal workers draw each
-// directory's parent from a per-index uniform against a snapshot of the
-// Fenwick weight tree, and a sequential commit step accepts each proposal
-// that is still correct against the live weights (or repairs it with a live
-// search). Because every per-index uniform is a pure function of the rng seed
-// and the directory index, and the commit step resolves each directory purely
-// from its uniform and the live weights, the resulting tree is byte-identical
-// at every worker count.
-//
-// When rng does not implement IndexedChooser the legacy sequential-stream
-// model runs instead (single worker semantics).
-func GenerateTreeParallel(rng WeightedChooser, nDirs int, shape TreeShape, workers int) *Tree {
 	if nDirs < 1 {
 		nDirs = 1
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	t := &Tree{Dirs: make([]Dir, 0, nDirs)}
 	t.addRoot()
@@ -167,7 +143,7 @@ func GenerateTreeParallel(rng WeightedChooser, nDirs int, shape TreeShape, worke
 		}
 	default:
 		if ic, ok := rng.(IndexedChooser); ok {
-			t.generateSpeculative(ic, nDirs, workers)
+			t.generateIndexed(ic, nDirs)
 		} else {
 			t.generate(rng, nDirs)
 		}
@@ -184,7 +160,7 @@ func (t *Tree) addRoot() {
 // single sequential stream. A Fenwick (binary indexed) tree over
 // per-directory weights keeps each parent choice O(log n). This is the
 // fallback for plain WeightedChoosers; *stats.RNG callers get the
-// per-index-stream model of generateSpeculative.
+// per-index-stream model of generateIndexed.
 func (t *Tree) generate(rng WeightedChooser, nDirs int) {
 	fen := newFenwick(nDirs)
 	fen.add(0, 2) // root starts with weight C(root)+2 = 2
@@ -200,120 +176,19 @@ func (t *Tree) generate(rng WeightedChooser, nDirs int) {
 	}
 }
 
-// speculative batch sizing: batches grow with the committed prefix so the
-// expected proposal-invalidation rate (≈ batch/committed) stays bounded,
-// capped so proposal arrays stay cache-friendly.
-const (
-	minSpeculativeBatch = 64
-	maxSpeculativeBatch = 8192
-	// parallelProposalThreshold is the batch size below which proposing on
-	// the calling goroutine beats spawning workers.
-	parallelProposalThreshold = 1024
-)
-
-// generateSpeculative runs the C(d)+2 model with deterministic speculative
-// attachment. Directory i's parent is fully determined by u_i = UniformAt(i)
-// and the weights after i-1 commits: the total weight is always exactly
-// 3i - 1 (every commit adds 2 for the new directory and 1 for its parent),
-// so target_i = u_i * (3i - 1) is known in advance, and only the weight
-// *positions* depend on earlier choices. Proposal workers resolve target_i
-// against a frozen snapshot of the Fenwick tree; the sequential commit step
-// accepts a proposal iff it still satisfies
-//
-//	cum(p-1) <= target_i < cum(p-1) + w[p]
-//
-// against the live weights (all integers, so every float comparison is
-// exact), and otherwise repairs it with a live Fenwick search. Directory
-// names are also formatted in the proposal phase, keeping string work off the
-// sequential path.
-func (t *Tree) generateSpeculative(rng IndexedChooser, nDirs, workers int) {
+// generateIndexed runs the C(d)+2 model with directory i's parent drawn from
+// its own uniform u_i = UniformAt(i). Every commit adds 2 for the new
+// directory and 1 for its parent, so the total weight before directory i
+// is exactly 3i - 1 and target_i = u_i * (3i - 1); a Fenwick search over
+// the live weights resolves it in O(log n).
+func (t *Tree) generateIndexed(rng IndexedChooser, nDirs int) {
 	fen := newFenwick(nDirs)
 	fen.add(0, 2)
-	if workers == 1 {
-		// Degenerate reference path: resolve each directory directly against
-		// the live weights. The speculative commit step accepts exactly the
-		// parent this search returns, so the tree is identical.
-		for i := 1; i < nDirs; i++ {
-			target := rng.UniformAt(uint64(i)) * float64(3*i-1)
-			p := fen.find(target)
-			id := t.addDirNamed(p, dirName(i))
-			fen.add(id, 2)
-			fen.add(p, 1)
-		}
-		return
-	}
-	w := make([]float64, nDirs) // live per-directory weights (C(d)+2)
-	w[0] = 2
-	targets := make([]float64, nDirs)
-	proposals := make([]int32, nDirs)
-	names := make([]string, nDirs)
-
-	propose := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			target := rng.UniformAt(uint64(i)) * float64(3*i-1)
-			targets[i] = target
-			p := fen.find(target)
-			if p >= i {
-				// The snapshot total is below 3i-1, so overshooting targets
-				// can land past the last live directory; clamp (the commit
-				// step repairs).
-				p = i - 1
-			}
-			proposals[i] = int32(p)
-			names[i] = dirName(i)
-		}
-	}
-
-	next := 1
-	for next < nDirs {
-		batch := next / 4
-		if batch < minSpeculativeBatch {
-			batch = minSpeculativeBatch
-		}
-		if batch > maxSpeculativeBatch {
-			batch = maxSpeculativeBatch
-		}
-		hi := next + batch
-		if hi > nDirs {
-			hi = nDirs
-		}
-
-		// Proposal phase: the Fenwick tree is frozen, so workers share it
-		// read-only.
-		if workers > 1 && hi-next >= parallelProposalThreshold {
-			chunk := (hi - next + workers - 1) / workers
-			var wg sync.WaitGroup
-			for lo := next; lo < hi; lo += chunk {
-				end := lo + chunk
-				if end > hi {
-					end = hi
-				}
-				wg.Add(1)
-				go func(lo, end int) {
-					defer wg.Done()
-					propose(lo, end)
-				}(lo, end)
-			}
-			wg.Wait()
-		} else {
-			propose(next, hi)
-		}
-
-		// Commit phase: sequential accept-or-repair in index order.
-		for i := next; i < hi; i++ {
-			p := int(proposals[i])
-			target := targets[i]
-			cumBefore := fen.prefix(p - 1)
-			if target < cumBefore || target >= cumBefore+w[p] {
-				p = fen.find(target)
-			}
-			id := t.addDirNamed(p, names[i])
-			fen.add(id, 2)
-			fen.add(p, 1)
-			w[id] = 2
-			w[p]++
-		}
-		next = hi
+	for i := 1; i < nDirs; i++ {
+		p := fen.find(rng.UniformAt(uint64(i)) * float64(3*i-1))
+		id := t.AddDir(p)
+		fen.add(id, 2)
+		fen.add(p, 1)
 	}
 }
 
@@ -332,18 +207,13 @@ func dirName(id int) string {
 
 // AddDir appends a new directory under the given parent and returns its ID.
 func (t *Tree) AddDir(parent int) int {
-	return t.addDirNamed(parent, dirName(len(t.Dirs)))
-}
-
-// addDirNamed appends a new directory with a pre-formatted name.
-func (t *Tree) addDirNamed(parent int, name string) int {
 	id := len(t.Dirs)
 	depth := t.Dirs[parent].Depth + 1
 	t.Dirs = append(t.Dirs, Dir{
 		ID:     id,
 		Parent: parent,
 		Depth:  depth,
-		Name:   name,
+		Name:   dirName(id),
 	})
 	t.Dirs[parent].SubdirCount++
 	for len(t.byDepth) <= depth {
@@ -512,8 +382,8 @@ func sanitizeName(name string) string {
 	return string(out)
 }
 
-// fenwick is a binary indexed tree over float64 weights supporting prefix
-// sums and weighted sampling by cumulative value.
+// fenwick is a binary indexed tree over float64 weights supporting weighted
+// sampling by cumulative value.
 type fenwick struct {
 	tree []float64
 	n    int
@@ -532,15 +402,6 @@ func (f *fenwick) add(i int, delta float64) {
 }
 
 func (f *fenwick) total() float64 { return f.sum }
-
-// prefix returns the sum of elements 0..i inclusive (0 for i < 0).
-func (f *fenwick) prefix(i int) float64 {
-	s := 0.0
-	for i++; i > 0; i -= i & (-i) {
-		s += f.tree[i]
-	}
-	return s
-}
 
 // find returns the smallest index i such that the prefix sum through i is
 // greater than target.
